@@ -2,8 +2,14 @@
 //! across image sizes and pyramid depths (the workload behind Table 2's
 //! FE row — absolute times differ from the paper's testbed, the scaling
 //! shape is what matters).
+//!
+//! Two inputs: the checkerboard `test_image` is the labelled *sparse*
+//! point (a few FAST detections per row, ~700 candidates at VGA), and
+//! `rendered/640x480` is one fr1/desk frame (~150k detections, ~25k
+//! candidates), the dense workload the SLAM pipeline actually extracts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eslam_dataset::SequenceSpec;
 use eslam_features::orb::{OrbConfig, OrbExtractor, OrbScratch};
 use eslam_features::BandMode;
 use eslam_image::pyramid::PyramidConfig;
@@ -74,6 +80,25 @@ fn bench_extraction_bands(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_extraction_rendered(c: &mut Criterion) {
+    // The dense workload: one fr1/desk frame at VGA, rendered once
+    // outside timing, through the production entry with reused scratch.
+    let mut group = c.benchmark_group("feature_extraction/rendered");
+    let frame = SequenceSpec::paper_sequences(1, 1.0)[2]
+        .build()
+        .frames()
+        .next()
+        .expect("fr1/desk renders a frame");
+    let extractor = OrbExtractor::new(OrbConfig::default());
+    let mut scratch = OrbScratch::default();
+    group.bench_with_input(
+        BenchmarkId::from_parameter("640x480"),
+        &frame.gray,
+        |b, img| b.iter(|| black_box(extractor.extract_with(img, &mut scratch))),
+    );
+    group.finish();
+}
+
 fn bench_extraction_pyramid_depth(c: &mut Criterion) {
     // The §4.4 pixel argument: 4 levels ≈ 1.48× the pixels of 2 levels.
     let mut group = c.benchmark_group("feature_extraction/pyramid_levels");
@@ -99,6 +124,7 @@ criterion_group!(
     bench_extraction_sizes,
     bench_extraction_paths,
     bench_extraction_bands,
+    bench_extraction_rendered,
     bench_extraction_pyramid_depth
 );
 criterion_main!(benches);

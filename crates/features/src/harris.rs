@@ -69,6 +69,14 @@ pub fn harris_score(img: &GrayImage, x: u32, y: u32) -> f64 {
             }
         }
     }
+    response(sum_xx, sum_yy, sum_xy)
+}
+
+/// The normalization and `det − k·trace²` tail shared by
+/// [`harris_score`] and the row-shared kernel: both hand it the same
+/// exact integer sums, so both produce the same bits.
+#[inline]
+fn response(sum_xx: f64, sum_yy: f64, sum_xy: f64) -> f64 {
     let norm = 1.0 / ((4 * (2 * BLOCK_HALF + 1).pow(2)) as f64);
     let (a, b, c) = (
         sum_xx * norm * norm,
@@ -80,22 +88,268 @@ pub fn harris_score(img: &GrayImage, x: u32, y: u32) -> f64 {
     det - HARRIS_K * trace * trace
 }
 
-/// Band-aware scoring entry of the streaming front-end: appends one
-/// [`ScoredPoint`](crate::nms::ScoredPoint) per detection (the
-/// detections of one scanned row),
-/// preserving order. Identical arithmetic to calling [`harris_score`]
-/// per point — the band shape only batches the calls.
-pub fn score_band(
-    img: &GrayImage,
-    detections: &[crate::fast::FastDetection],
-    out: &mut Vec<crate::nms::ScoredPoint>,
-) {
-    for d in detections {
-        out.push(crate::nms::ScoredPoint {
-            x: d.x,
-            y: d.y,
-            score: harris_score(img, d.x, d.y),
-        });
+/// Largest `|Ix|` (or `|Iy|`) the 3×3 Sobel operator produces on 8-bit
+/// pixels: `(1 + 2 + 1) · 255`, reached on a saturated 0/255 edge.
+pub const SOBEL_MAX: i32 = 4 * 255;
+
+/// Rows of the row-shared kernel's Sobel ring: the 7-row block window
+/// plus the outgoing row the sliding column sums subtract.
+pub const SOBEL_RING_ROWS: u32 = 8;
+
+/// Per-column accumulators of the row-shared kernel (`Ix²`, `Iy²`,
+/// `IxIy`), each one `i32` per column.
+pub const HARRIS_COLUMN_SUMS: u32 = 3;
+
+/// Side of the scoring block.
+const BLOCK: usize = 2 * BLOCK_HALF as usize + 1;
+
+// Range bounds of the integer kernel: a Sobel response fits `i16`, and a
+// whole 7×7 block sum of squares fits `i32` (49 · 1020² = 50 979 600 <
+// 2³¹), so every partial sum — per column, per window, in any order — is
+// an exact integer, and exactly representable in `f64`.
+const _: () = assert!(SOBEL_MAX <= i16::MAX as i32);
+const _: () =
+    assert!((BLOCK * BLOCK) as i64 * (SOBEL_MAX as i64 * SOBEL_MAX as i64) <= i32::MAX as i64);
+
+/// Row-shared integer Harris scorer: the line-buffer form of
+/// [`harris_score`] the streaming front-end drives row by row.
+///
+/// Each raw row's Sobel `Ix`/`Iy` is computed once, as `i16`, into a
+/// [`SOBEL_RING_ROWS`]-row ring, and per-column `i32` sums of `Ix²`,
+/// `Iy²` and `IxIy` over the 7-row window slide down one row per scored
+/// row (add the incoming row, subtract the outgoing one). A detection
+/// then costs three 7-wide horizontal sums. Rows are produced lazily:
+/// detection-free spans compute nothing, and a jump in the scan rebuilds
+/// the column sums from the ring.
+///
+/// Rows with few detections sum each 7×7 block straight off the ring
+/// instead, whenever `n · 49` ring reads cost less than touching every
+/// column (2 rows per column to slide, 7 to rebuild). Both forms add the
+/// same integers, and Harris sums below 2³¹ are exact in `f64` in any
+/// order, so the scores are bit-identical to [`harris_score`] — which
+/// still scores detections within [`BLOCK_HALF`]` + 1` pixels of the
+/// border, where the Sobel taps clamp.
+#[derive(Debug, Default)]
+pub(crate) struct RowHarris {
+    /// Sobel rows of the last [`SOBEL_RING_ROWS`] raw rows computed.
+    ring: SobelRing,
+    /// Column sums of `Ix²` over the 7 rows around `sums_row`.
+    sxx: Vec<i32>,
+    /// Column sums of `Iy²`.
+    syy: Vec<i32>,
+    /// Column sums of `IxIy`.
+    sxy: Vec<i32>,
+    /// Next raw row the Sobel chain computes.
+    sobel_next: usize,
+    /// Centre row the column sums currently cover.
+    sums_row: Option<usize>,
+}
+
+/// The `i16` Sobel line buffers: raw row `r` at slot
+/// `r % SOBEL_RING_ROWS`.
+#[derive(Debug, Default)]
+struct SobelRing {
+    ix: Vec<i16>,
+    iy: Vec<i16>,
+    /// Level width the rows are laid out for.
+    w: usize,
+}
+
+impl SobelRing {
+    /// The Sobel `(Ix, Iy)` rows of raw row `r`.
+    #[inline]
+    fn row(&self, r: usize) -> (&[i16], &[i16]) {
+        let slot = (r % SOBEL_RING_ROWS as usize) * self.w;
+        (&self.ix[slot..slot + self.w], &self.iy[slot..slot + self.w])
+    }
+}
+
+impl RowHarris {
+    /// Lays the buffers out for a level of `width` columns and forgets
+    /// every row of the previous stream. Rows must then be scored in
+    /// ascending order.
+    pub(crate) fn reset(&mut self, width: u32) {
+        let w = width as usize;
+        let ring = SOBEL_RING_ROWS as usize * w;
+        self.ring.w = w;
+        self.ring.ix.resize(ring, 0);
+        self.ring.iy.resize(ring, 0);
+        self.sxx.resize(w, 0);
+        self.syy.resize(w, 0);
+        self.sxy.resize(w, 0);
+        self.sobel_next = 0;
+        self.sums_row = None;
+    }
+
+    /// Bytes held by the Sobel ring and the column sums.
+    pub(crate) fn working_bytes(&self) -> usize {
+        2 * (self.ring.ix.len() + self.ring.iy.len())
+            + 4 * (self.sxx.len() + self.syy.len() + self.sxy.len())
+    }
+
+    /// Scores one row's detections (all on the same row, ascending x;
+    /// rows ascending across calls since the last [`Self::reset`]),
+    /// appending one [`ScoredPoint`](crate::nms::ScoredPoint) per
+    /// detection in order — bit-identical to calling [`harris_score`]
+    /// per point.
+    pub(crate) fn score_row(
+        &mut self,
+        img: &GrayImage,
+        detections: &[crate::fast::FastDetection],
+        out: &mut Vec<crate::nms::ScoredPoint>,
+    ) {
+        let Some(first) = detections.first() else {
+            return;
+        };
+        debug_assert_eq!(self.ring.w, img.width() as usize, "reset for another width");
+        let (w, h) = (self.ring.w, img.height() as usize);
+        let y = first.y as usize;
+        let reach = BLOCK_HALF as usize + 1;
+        let interior = |x: u32| {
+            let x = x as usize;
+            y >= reach && y + reach < h && x >= reach && x + reach < w
+        };
+        let n = detections.iter().filter(|d| interior(d.x)).count();
+        let mut columns = false;
+        if n > 0 {
+            let half = BLOCK_HALF as usize;
+            self.ensure_sobel(img, y - half, y + half);
+            let slide = self.sums_row == Some(y - 1);
+            let rows_per_column = if slide { 2 } else { BLOCK };
+            if n * BLOCK * BLOCK >= w * rows_per_column {
+                self.update_sums(y, slide);
+                columns = true;
+            }
+        }
+        for d in detections {
+            let score = if !interior(d.x) {
+                harris_score(img, d.x, d.y)
+            } else {
+                let (xx, yy, xy) = if columns {
+                    self.window_sums(d.x as usize)
+                } else {
+                    self.block_sums(d.x as usize, y)
+                };
+                response(xx as f64, yy as f64, xy as f64)
+            };
+            out.push(crate::nms::ScoredPoint {
+                x: d.x,
+                y: d.y,
+                score,
+            });
+        }
+    }
+
+    /// Advances the lazy Sobel chain until raw rows `lo ..= hi` are in
+    /// the ring, jumping ahead over rows nobody reads.
+    fn ensure_sobel(&mut self, img: &GrayImage, lo: usize, hi: usize) {
+        debug_assert!(
+            lo + SOBEL_RING_ROWS as usize > self.sobel_next,
+            "rows scored out of order"
+        );
+        debug_assert!(lo >= 1 && hi + 1 < img.height() as usize);
+        self.sobel_next = self.sobel_next.max(lo);
+        let w = self.ring.w;
+        let data = img.as_raw();
+        while self.sobel_next <= hi {
+            let r = self.sobel_next;
+            let slot = (r % SOBEL_RING_ROWS as usize) * w;
+            sobel_row(
+                &data[(r - 1) * w..(r + 2) * w],
+                w,
+                &mut self.ring.ix[slot..slot + w],
+                &mut self.ring.iy[slot..slot + w],
+            );
+            self.sobel_next += 1;
+        }
+    }
+
+    /// Brings the column sums to the window centred on row `y`: slides
+    /// them one row down from `y − 1`, or rebuilds them from the ring.
+    fn update_sums(&mut self, y: usize, slide: bool) {
+        let half = BLOCK_HALF as usize;
+        if slide {
+            let (nx, ny) = self.ring.row(y + half);
+            let (ox, oy) = self.ring.row(y - half - 1);
+            let sums = self.sxx.iter_mut().zip(&mut self.syy).zip(&mut self.sxy);
+            for ((((sxx, syy), sxy), (&nx, &ny)), (&ox, &oy)) in
+                sums.zip(nx.iter().zip(ny)).zip(ox.iter().zip(oy))
+            {
+                let (nx, ny, ox, oy) = (nx as i32, ny as i32, ox as i32, oy as i32);
+                *sxx += nx * nx - ox * ox;
+                *syy += ny * ny - oy * oy;
+                *sxy += nx * ny - ox * oy;
+            }
+        } else {
+            self.sxx.fill(0);
+            self.syy.fill(0);
+            self.sxy.fill(0);
+            for r in y - half..=y + half {
+                let (ix, iy) = self.ring.row(r);
+                let sums = self.sxx.iter_mut().zip(&mut self.syy).zip(&mut self.sxy);
+                for (((sxx, syy), sxy), (&gx, &gy)) in sums.zip(ix.iter().zip(iy)) {
+                    let (gx, gy) = (gx as i32, gy as i32);
+                    *sxx += gx * gx;
+                    *syy += gy * gy;
+                    *sxy += gx * gy;
+                }
+            }
+        }
+        self.sums_row = Some(y);
+    }
+
+    /// The block sums at column `x` off the column sums.
+    #[inline]
+    fn window_sums(&self, x: usize) -> (i32, i32, i32) {
+        let cols = x - BLOCK_HALF as usize..=x + BLOCK_HALF as usize;
+        (
+            self.sxx[cols.clone()].iter().sum(),
+            self.syy[cols.clone()].iter().sum(),
+            self.sxy[cols].iter().sum(),
+        )
+    }
+
+    /// The block sums at `(x, y)` summed straight off the Sobel ring.
+    #[inline]
+    fn block_sums(&self, x: usize, y: usize) -> (i32, i32, i32) {
+        let half = BLOCK_HALF as usize;
+        let (mut xx, mut yy, mut xy) = (0, 0, 0);
+        for r in y - half..=y + half {
+            let (ix, iy) = self.ring.row(r);
+            for (&gx, &gy) in ix[x - half..=x + half].iter().zip(&iy[x - half..=x + half]) {
+                let (gx, gy) = (gx as i32, gy as i32);
+                xx += gx * gx;
+                yy += gy * gy;
+                xy += gx * gy;
+            }
+        }
+        (xx, yy, xy)
+    }
+}
+
+/// Sobel `Ix`/`Iy` of the middle row of `rows` (three consecutive raw
+/// rows of width `w`) into `ix`/`iy`, columns `1 .. w − 1`; the border
+/// columns, whose taps would clamp, are left as they are.
+fn sobel_row(rows: &[u8], w: usize, ix: &mut [i16], iy: &mut [i16]) {
+    debug_assert!(w >= 3);
+    let n = w - 2;
+    // Each row's taps at columns c − 1, c, c + 1 for output column c.
+    let taps = |row: usize| {
+        let r = &rows[row * w..(row + 1) * w];
+        (&r[..n], &r[1..n + 1], &r[2..])
+    };
+    let (a0, a1, a2) = taps(0);
+    let (m0, _, m2) = taps(1);
+    let (b0, b1, b2) = taps(2);
+    let (ix, iy) = (&mut ix[1..=n], &mut iy[1..=n]);
+    for i in 0..n {
+        let p = |row: &[u8]| row[i] as i16;
+        let left = p(a0) + 2 * p(m0) + p(b0);
+        let right = p(a2) + 2 * p(m2) + p(b2);
+        let top = p(a0) + 2 * p(a1) + p(a2);
+        let bottom = p(b0) + 2 * p(b1) + p(b2);
+        ix[i] = right - left;
+        iy[i] = bottom - top;
     }
 }
 
@@ -209,6 +463,110 @@ mod tests {
                     "({x},{y}): fast {fast} vs reference {reference}"
                 );
             }
+        }
+    }
+
+    /// Scores `rows` of `img` through one [`RowHarris`] stream, each row
+    /// with the detections `pick(x, y)` selects among its FAST-eligible
+    /// pixels (`3 ≤ x, y < dim − 3`), and asserts every score equals
+    /// [`harris_score`] bit for bit.
+    fn assert_row_shared_exact(
+        img: &GrayImage,
+        rows: impl Iterator<Item = u32>,
+        mut pick: impl FnMut(u32, u32) -> bool,
+    ) -> usize {
+        let (w, h) = (img.width(), img.height());
+        let mut kernel = RowHarris::default();
+        kernel.reset(w);
+        let mut out = Vec::new();
+        let mut scored = 0;
+        for y in rows.filter(|&y| y >= 3 && y + 3 < h) {
+            let detections: Vec<crate::fast::FastDetection> = (3..w.saturating_sub(3))
+                .filter(|&x| pick(x, y))
+                .map(|x| crate::fast::FastDetection { x, y })
+                .collect();
+            out.clear();
+            kernel.score_row(img, &detections, &mut out);
+            assert_eq!(out.len(), detections.len());
+            for (p, d) in out.iter().zip(&detections) {
+                let reference = harris_score(img, d.x, d.y);
+                assert_eq!((p.x, p.y), (d.x, d.y));
+                assert!(
+                    p.score.to_bits() == reference.to_bits(),
+                    "{w}x{h} ({}, {}): row-shared {} vs harris_score {reference}",
+                    d.x,
+                    d.y,
+                    p.score
+                );
+            }
+            scored += detections.len();
+        }
+        scored
+    }
+
+    fn noise_image(w: u32, h: u32, seed: u64) -> GrayImage {
+        GrayImage::from_fn(w, h, |x, y| {
+            let v = (x as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (y as u64 + 7).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+            ((v ^ seed.wrapping_mul(0x1656_67B1_9E37_79F9)) >> 29) as u8
+        })
+    }
+
+    #[test]
+    fn row_shared_kernel_matches_harris_score_at_every_fast_pixel() {
+        // Every FAST-eligible pixel of every row: the dense, sliding
+        // form. Sizes run down to 7×7 (one eligible pixel, all border)
+        // and through widths where x ± 4 touches both borders.
+        for (w, h) in [
+            (7u32, 7u32),
+            (8, 8),
+            (9, 9),
+            (10, 11),
+            (11, 9),
+            (12, 40),
+            (33, 17),
+            (64, 48),
+        ] {
+            for seed in 0..3 {
+                let img = noise_image(w, h, seed);
+                let scored = assert_row_shared_exact(&img, 0..h, |_, _| true);
+                assert_eq!(scored, (w as usize - 6) * (h as usize - 6));
+            }
+        }
+    }
+
+    #[test]
+    fn row_shared_kernel_is_exact_on_saturated_edges() {
+        // A 0/255 checkerboard of 4-pixel cells: next to every cell edge
+        // the Sobel response hits the range bound |Ix| = |Iy| = 1020
+        // that sizes the i16 ring and the i32 sums.
+        let img = GrayImage::from_fn(
+            48,
+            40,
+            |x, y| if (x / 4 + y / 4) % 2 == 0 { 0 } else { 255 },
+        );
+        assert_eq!(sobel_x(&img, 4, 2).abs(), SOBEL_MAX as f64);
+        assert_eq!(sobel_y(&img, 2, 4).abs(), SOBEL_MAX as f64);
+        assert_row_shared_exact(&img, 0..40, |_, _| true);
+        assert_row_shared_exact(&img, 0..40, |x, y| x == 4 + (y * 5) % 40);
+    }
+
+    #[test]
+    fn sparse_rows_and_scan_jumps_are_exact() {
+        // Few detections per row take the per-point ring sums; skipped
+        // rows force the column sums to rebuild; mixing both on one
+        // stream must never leave stale sums behind.
+        for (w, h, seed) in [(64u32, 48u32, 1u64), (97, 61, 2), (9, 30, 3)] {
+            let img = noise_image(w, h, seed);
+            // One detection per row (49 ring reads < 2 columns' worth
+            // on every width past 24), then a few per row.
+            assert_row_shared_exact(&img, 0..h, |x, y| x == 3 + (y * 7) % (w - 6));
+            assert_row_shared_exact(&img, 0..h, |x, y| (x + 3 * y) % 13 == 0);
+            // Dense rows separated by gaps of 1..=9 skipped rows.
+            let rows: Vec<u32> = (0..h).filter(|y| (y * y + 3 * y) % 10 < 4).collect();
+            assert_row_shared_exact(&img, rows.into_iter(), |_, _| true);
+            // Alternating dense and sparse rows.
+            assert_row_shared_exact(&img, 0..h, |x, y| y % 2 == 0 || x % 17 == 5);
         }
     }
 }

@@ -20,14 +20,16 @@
 //! | horizontal blur (h-row)  | `j` only          | 0 ([`STREAM_BLUR_HALO`] cols) |
 //! | vertical blur (smoothed) | h-rows `k ± 3`    | [`STREAM_BLUR_HALO`] = 3      |
 //! | FAST scan of row `y`     | raw `y ± 3`       | [`STREAM_FAST_HALO`] = 3      |
+//! | Harris score of row `y`  | raw `y ± 4`       | [`STREAM_HARRIS_HALO`] = 4    |
 //! | NMS finalize of row `yf` | scores `yf ± 1`   | [`STREAM_NMS_DELAY`] = 1 scan |
 //! | moments / descriptor     | smoothed `yc ± 15`| [`STREAM_PATCH_HALO`] = 15    |
 //!
 //! A candidate finalized at row `yc` therefore needs raw rows up to
-//! `max(yc + FAST + NMS, yc + PATCH + BLUR) = yc +`
-//! [`STREAM_LATENCY_ROWS`] (= 18): the FAST/NMS chain trails the scan by
-//! 4 rows while the smoothing/descriptor chain trails it by 18, which is
-//! the figure the `eslam-hw` band schedule mirrors stage for stage.
+//! `max(yc + max(FAST, HARRIS) + NMS, yc + PATCH + BLUR) = yc +`
+//! [`STREAM_LATENCY_ROWS`] (= 18): the FAST/Harris/NMS chain trails the
+//! scan by 5 rows while the smoothing/descriptor chain trails it by 18,
+//! which is the figure the `eslam-hw` band schedule mirrors stage for
+//! stage.
 //!
 //! # Ring buffers
 //!
@@ -41,26 +43,41 @@
 //! * **H-row ring** — [`HROW_RING_ROWS`] (8) rows of 16-bit horizontal
 //!   blur sums, covering the vertical tap window (7) under monotone
 //!   advance.
+//! * **Sobel ring** — [`SOBEL_RING_ROWS`](harris::SOBEL_RING_ROWS) (8)
+//!   rows of `i16` Sobel `Ix`/`Iy` pairs: the 7-row Harris block window
+//!   plus the outgoing row the column sums subtract.
+//! * **Harris column sums** — three `i32` per column (`Ix²`, `Iy²`,
+//!   `IxIy` over the 7-row window), sliding down one row per scored row.
 //! * **Score rows** — 3 rotating rows of scored detections for the 3×3
 //!   NMS window.
 //!
-//! Blur work is *lazy*: smoothed rows are produced only when a surviving
-//! candidate needs them, skipping ahead over candidate-free spans. Peak
-//! extraction working memory is `O(width)` — independent of image
-//! height (`64·w` ring bytes + `2·8·w` h-row bytes per level), where the
+//! Blur and Sobel work are *lazy*: smoothed rows are produced only when
+//! a surviving candidate needs them, Sobel rows only when a detection
+//! row needs them, each skipping ahead over spans nobody reads (a jump
+//! rebuilds the Harris column sums from the ring). Peak extraction
+//! working memory is `O(width)` — independent of image height: `64·w`
+//! smoothed-ring bytes + `2·8·w` h-row bytes + `2·2·8·w` Sobel bytes +
+//! `4·3·w` column-sum bytes = `124·w` bytes per level and band, where the
 //! pass pipeline holds a full smoothed frame plus a `u16` scratch
 //! (`3·w·h` bytes).
 //!
 //! # Bit-identity
 //!
 //! Every stage reuses the exact kernels of the pass pipeline (shared
-//! band producers for blur, the same FAST decision, the same Harris
-//! arithmetic, the local NMS rule of [`crate::nms::suppress`], the same
-//! interior moments/descriptor paths), candidates are emitted in the
-//! same raster order per level, and the merge is unchanged — so
-//! keypoints, responses, angles, descriptors *and stats* are
-//! bit-identical to the pass pipeline. `tests/stream_equivalence.rs`
-//! proves it across the paper sequences.
+//! band producers for blur, the same FAST decision, the local NMS rule
+//! of [`crate::nms::suppress`], the same interior moments/descriptor
+//! paths), candidates are emitted in the same raster order per level,
+//! and the merge is unchanged. Harris is the one stage with its own
+//! kernel (`harris::RowHarris`): it sums the same Sobel products in
+//! `i32`, row-shared, where [`harris::harris_score`] sums them in `f64`
+//! per point. Every product and partial sum is an integer below 2³¹,
+//! and `f64` adds such integers exactly in any order, so both hand the
+//! same `sum_xx/yy/xy` to the same normalization tail and produce the
+//! same score bits; detections within 4 pixels of the border, where the
+//! Sobel taps clamp, still call `harris_score`. So keypoints, responses,
+//! angles, descriptors *and stats* are bit-identical to the pass
+//! pipeline. `tests/stream_equivalence.rs` proves it across the paper
+//! sequences.
 //!
 //! # Band parallelism
 //!
@@ -85,7 +102,7 @@ use crate::brief::{compute_descriptor_ring, PatternOffsets};
 use crate::descriptor::Descriptor;
 use crate::envopt;
 use crate::fast::{self, FastDetection};
-use crate::harris;
+use crate::harris::{self, RowHarris};
 use crate::nms::ScoredPoint;
 use crate::orb::{Keypoint, LevelScratch, OrbExtractor, Workflow, EDGE_MARGIN};
 use crate::orientation::patch_moments_ring;
@@ -109,6 +126,9 @@ pub const BANDS_ENV: &str = "ESLAM_BANDS";
 pub const STREAM_BLUR_HALO: u32 = 3;
 /// Rows of halo the FAST segment test needs (radius-3 Bresenham circle).
 pub const STREAM_FAST_HALO: u32 = 3;
+/// Rows of halo the Harris score needs: the 7×7 block (±3) of 3×3 Sobel
+/// taps (±1).
+pub const STREAM_HARRIS_HALO: u32 = harris::BLOCK_HALF as u32 + 1;
 /// Scan rows the 3×3 NMS trails behind the FAST scan (row `y` finalizes
 /// once row `y + 1` is scored).
 pub const STREAM_NMS_DELAY: u32 = 1;
@@ -124,11 +144,17 @@ pub const SMOOTH_RING_ROWS: u32 = 32;
 pub const HROW_RING_ROWS: u32 = 8;
 
 /// Raw-row lookahead between a candidate's row and the last raw row its
-/// emission touches: the maximum of the FAST/NMS chain
-/// (`STREAM_FAST_HALO + STREAM_NMS_DELAY`) and the smoothing/descriptor
-/// chain (`STREAM_PATCH_HALO + STREAM_BLUR_HALO`).
+/// emission touches: the maximum of the FAST/Harris/NMS chain
+/// (`max(STREAM_FAST_HALO, STREAM_HARRIS_HALO) + STREAM_NMS_DELAY`) and
+/// the smoothing/descriptor chain (`STREAM_PATCH_HALO +
+/// STREAM_BLUR_HALO`).
 pub const STREAM_LATENCY_ROWS: u32 = {
-    let fast_chain = STREAM_FAST_HALO + STREAM_NMS_DELAY;
+    let detect_halo = if STREAM_HARRIS_HALO > STREAM_FAST_HALO {
+        STREAM_HARRIS_HALO
+    } else {
+        STREAM_FAST_HALO
+    };
+    let fast_chain = detect_halo + STREAM_NMS_DELAY;
     let descriptor_chain = STREAM_PATCH_HALO + STREAM_BLUR_HALO;
     if descriptor_chain > fast_chain {
         descriptor_chain
@@ -367,13 +393,16 @@ pub(crate) struct StreamScratch {
     pub(crate) hrows: Vec<u16>,
     /// Scored detections of the three NMS window rows, indexed `y % 3`.
     pub(crate) rows: [Vec<ScoredPoint>; 3],
+    /// Row-shared Harris line buffers: the `i16` Sobel ring and the
+    /// sliding `i32` column sums.
+    pub(crate) harris: RowHarris,
 }
 
 impl StreamScratch {
     /// Bytes currently held by the line buffers (diagnostic; constant in
     /// image height for a fixed width).
     pub(crate) fn working_bytes(&self) -> usize {
-        self.ring.as_raw().len() + 2 * self.hrows.len()
+        self.ring.as_raw().len() + 2 * self.hrows.len() + self.harris.working_bytes()
     }
 }
 
@@ -691,9 +720,15 @@ fn stream_band(
     debug_assert!(owned.start >= 3 && owned.end <= h - 3);
     buf.stream.ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
     buf.stream.hrows.resize(HROW_RING_ROWS as usize * w, 0);
+    buf.stream.harris.reset(img.width());
 
     let detections = buf.detections;
-    let StreamScratch { ring, hrows, rows } = buf.stream;
+    let StreamScratch {
+        ring,
+        hrows,
+        rows,
+        harris,
+    } = buf.stream;
     let mut st = StreamLevel {
         ex,
         img,
@@ -721,7 +756,7 @@ fn stream_band(
         }
         let row = &mut rows[y % 3];
         row.clear();
-        harris::score_band(img, detections, row);
+        harris.score_row(img, detections, row);
         if y > scan_lo {
             let yf = y - 1;
             // A band's first owned row sees its upper neighbour either
@@ -747,11 +782,12 @@ fn stream_band(
 /// Re-exported consistency hook for `eslam-hw`: `(halo rows carried per
 /// stage, total raw-row latency)` — the numbers the hardware model's
 /// band schedule must mirror.
-pub fn latency_schedule() -> ([(&'static str, u32); 4], u32) {
+pub fn latency_schedule() -> ([(&'static str, u32); 5], u32) {
     (
         [
             ("blur", STREAM_BLUR_HALO),
             ("fast", STREAM_FAST_HALO),
+            ("harris", STREAM_HARRIS_HALO),
             ("nms", STREAM_NMS_DELAY),
             ("patch", STREAM_PATCH_HALO),
         ],
@@ -778,7 +814,18 @@ mod tests {
     #[test]
     fn latency_is_descriptor_chain_bound() {
         assert_eq!(STREAM_LATENCY_ROWS, 18);
-        const { assert!(STREAM_LATENCY_ROWS >= STREAM_FAST_HALO + STREAM_NMS_DELAY) };
+        // The Harris halo (4) lengthens the detection chain to
+        // max(FAST, HARRIS) + NMS = 5 rows, still far inside the
+        // descriptor chain, so the band halo does not grow.
+        assert_eq!(STREAM_HARRIS_HALO, 4);
+        assert_eq!(
+            STREAM_FAST_HALO.max(STREAM_HARRIS_HALO) + STREAM_NMS_DELAY,
+            5
+        );
+        const { assert!(STREAM_LATENCY_ROWS >= STREAM_HARRIS_HALO + STREAM_NMS_DELAY) };
+        // The Sobel ring holds the 7-row block window plus the row the
+        // sliding column sums subtract.
+        const { assert!(harris::SOBEL_RING_ROWS > 2 * harris::BLOCK_HALF as u32 + 1) };
         assert_eq!(STREAM_LATENCY_ROWS, STREAM_PATCH_HALO + STREAM_BLUR_HALO);
         // The rings hold their widest consumer window.
         const { assert!(SMOOTH_RING_ROWS > 2 * STREAM_PATCH_HALO) };
@@ -924,6 +971,38 @@ mod tests {
                 });
                 let split = e.extract_stream_with(&img, &mut OrbScratch::default());
                 let oracle = e.extract_passes_with(&img, &mut OrbScratch::default());
+                prop_assert_eq!(split, oracle);
+            }
+
+            // The row-shared Harris kernel restarts per band: its lazy
+            // Sobel ring and sliding column sums must rebuild at every
+            // band's halo rows and reproduce the single-band stream. A
+            // fine noise texture keeps detections dense, so most rows
+            // slide the column sums and sparse ones sum off the ring.
+            #[test]
+            fn banded_row_shared_harris_matches_single_band(
+                w in 9u32..120, h in 9u32..120, band_pick in 0usize..3, seed in 0u64..1000,
+                threshold in 5u8..40,
+            ) {
+                let bands = [1usize, 2, 4][band_pick];
+                let img = GrayImage::from_fn(w, h, |x, y| {
+                    let v = (x as u64 + 3).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        ^ (y as u64 + 5).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+                        ^ seed.wrapping_mul(0x1656_67B1_9E37_79F9);
+                    (v >> 59) as u8 * 3 + if (x / 9 + y / 7) % 2 == 0 { 40 } else { 150 }
+                });
+                let config = |bands| OrbConfig {
+                    fast_threshold: threshold,
+                    bands: BandMode::Fixed(bands),
+                    ..Default::default()
+                };
+                let split = OrbExtractor::new(config(bands))
+                    .extract_stream_with(&img, &mut OrbScratch::default());
+                let single = OrbExtractor::new(config(1))
+                    .extract_stream_with(&img, &mut OrbScratch::default());
+                prop_assert_eq!(&split, &single);
+                let oracle = OrbExtractor::new(config(1))
+                    .extract_passes_with(&img, &mut OrbScratch::default());
                 prop_assert_eq!(split, oracle);
             }
 

@@ -23,7 +23,7 @@
 use crate::axi::AxiConfig;
 use crate::clock::{Cycles, FPGA_CLOCK_HZ};
 use eslam_features::orb::{DescriptorKind, OrbConfig, OrbExtractor, OrbFeatures, Workflow};
-use eslam_features::stream;
+use eslam_features::{harris, stream};
 use eslam_image::pyramid::PyramidConfig;
 use eslam_image::GrayImage;
 
@@ -270,7 +270,7 @@ pub struct BandStage {
     /// smoothed ring's mirror copy).
     pub buffer_rows: u32,
     /// Bits per buffered pixel (8-bit pixels, 16-bit horizontal blur
-    /// sums).
+    /// sums, 32-bit Sobel pairs and structure-tensor column sums).
     pub bits_per_pixel: u32,
 }
 
@@ -284,8 +284,9 @@ pub struct BandStage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandSchedule {
     /// The fused stages in dataflow order: horizontal/vertical blur,
-    /// FAST segment test, NMS, and the orientation/descriptor patch.
-    pub stages: [BandStage; 4],
+    /// FAST segment test, Harris scoring, NMS, and the
+    /// orientation/descriptor patch.
+    pub stages: [BandStage; 5],
 }
 
 impl Default for BandSchedule {
@@ -307,6 +308,17 @@ impl Default for BandSchedule {
                     halo_rows: stream::STREAM_FAST_HALO,
                     buffer_rows: 2 * stream::STREAM_FAST_HALO + 1,
                     bits_per_pixel: 8,
+                },
+                // Row-shared Harris: ±4 raw rows (7×7 block of 3×3 Sobel
+                // taps). The Sobel ring holds an `Ix`/`Iy` pair of i16
+                // per pixel (32 b) for the 7-row window plus the row the
+                // sliding sums subtract; the three i32 column sums
+                // (Ix², Iy², IxIy) count as three more 32-bit rows.
+                BandStage {
+                    name: "harris",
+                    halo_rows: stream::STREAM_HARRIS_HALO,
+                    buffer_rows: harris::SOBEL_RING_ROWS + harris::HARRIS_COLUMN_SUMS,
+                    bits_per_pixel: 32,
                 },
                 // 3×3 NMS trails the FAST scan by one row; the score
                 // rows hold f64 responses but only for the (sparse)
@@ -334,9 +346,10 @@ impl Default for BandSchedule {
 
 impl BandSchedule {
     /// Raw-row latency between a candidate's row and the last raw row
-    /// its emission touches: the maximum of the FAST → NMS chain and the
-    /// blur → patch chain (the two paths from the raw stream to a
-    /// finished feature).
+    /// its emission touches: the maximum of the FAST/Harris → NMS chain
+    /// (FAST and Harris read the same raw rows side by side, so the
+    /// wider halo counts) and the blur → patch chain (the two paths
+    /// from the raw stream to a finished feature).
     pub fn latency_rows(&self) -> u32 {
         let halo = |name: &str| {
             self.stages
@@ -345,7 +358,7 @@ impl BandSchedule {
                 .expect("stage present")
                 .halo_rows
         };
-        (halo("fast") + halo("nms")).max(halo("blur") + halo("patch"))
+        (halo("fast").max(halo("harris")) + halo("nms")).max(halo("blur") + halo("patch"))
     }
 
     /// Total line-buffer bits for a level of the given width — linear in
@@ -596,17 +609,50 @@ mod tests {
     }
 
     #[test]
+    fn harris_stage_is_pinned_to_the_row_shared_kernel() {
+        // The Harris line buffers mirror `harris::RowHarris`: an i16
+        // Ix/Iy pair per pixel in the Sobel ring, plus three i32 column
+        // sums per column, all at 32 bits.
+        let schedule = BandSchedule::default();
+        let stage = schedule
+            .stages
+            .iter()
+            .find(|s| s.name == "harris")
+            .expect("harris stage");
+        assert_eq!(stage.halo_rows, harris::BLOCK_HALF as u32 + 1);
+        assert_eq!(
+            stage.buffer_rows,
+            harris::SOBEL_RING_ROWS + harris::HARRIS_COLUMN_SUMS
+        );
+        assert_eq!(stage.bits_per_pixel, 2 * i16::BITS);
+        assert_eq!(stage.bits_per_pixel, i32::BITS);
+        // Its 4-row halo sets the detection chain (FAST's is 3) without
+        // reaching the 18-row descriptor chain.
+        let halo = |name: &str| {
+            schedule
+                .stages
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap()
+                .halo_rows
+        };
+        assert_eq!(halo("fast").max(halo("harris")) + halo("nms"), 5);
+        assert_eq!(schedule.latency_rows(), 18);
+    }
+
+    #[test]
     fn band_line_buffers_scale_with_width_not_height() {
         let schedule = BandSchedule::default();
         let vga = schedule.line_buffer_bits(640);
         assert_eq!(vga, 2 * schedule.line_buffer_bits(320));
-        // Mirrored smoothed ring (64 rows × 8 b) + h-row ring
-        // (8 rows × 16 b) + FAST window (7 rows × 8 b) + NMS scores
-        // (3 rows × 64 b) = 888 bits/column.
-        assert_eq!(vga, 640 * 888);
-        // Far below the full-frame alternative (a VGA smoothed frame
-        // alone is 640 × 480 × 8 bits).
-        assert!(vga < 640 * 480 * 8 / 4);
+        // Mirrored smoothed ring (64 rows × 8 b = 512) + h-row ring
+        // (8 rows × 16 b = 128) + FAST window (7 rows × 8 b = 56) +
+        // Harris Sobel ring and column sums ((8 + 3) rows × 32 b = 352)
+        // + NMS scores (3 rows × 64 b = 192) = 1240 bits/column.
+        assert_eq!(vga, 640 * 1240);
+        // Far below the full-frame alternative: under a third of a VGA
+        // smoothed frame alone (640 × 480 × 8 bits; 1240 / 3840 ≈ 0.32).
+        assert!(3 * vga < 640 * 480 * 8);
     }
 
     #[test]
