@@ -1,12 +1,12 @@
 //! Shared parsing for the `ESLAM_*` environment-override family.
 //!
 //! Every process-wide override (`ESLAM_MATCH_KERNEL`, `ESLAM_PREFETCH`,
-//! `ESLAM_BACKEND`, `ESLAM_EXTRACT`, `ESLAM_ATLAS`) follows one
-//! contract: unset, empty
-//! and `auto` mean "no override — use the configured/detected value";
-//! any other value must parse, and a typo panics loudly (so a CI-matrix
-//! typo fails the job instead of silently testing the auto-detected
-//! path). This module is that contract in one place; each subsystem
+//! `ESLAM_BACKEND`, `ESLAM_BANDS`, `ESLAM_TELEMETRY`, `ESLAM_ATLAS`)
+//! follows one contract: unset, empty and `auto` mean "no override — use
+//! the configured/detected value"; any other value must parse, and a
+//! typo panics loudly (so a CI-matrix typo fails the job instead of
+//! silently testing the auto-detected path). `ESLAM_ATLAS` names a path,
+//! so it has no `auto` keyword and is read through [`raw_value`]. This module is that contract in one place; each subsystem
 //! supplies only its value-set parser. The aggregated typed view of
 //! all overrides lives in `eslam_core::overrides`.
 

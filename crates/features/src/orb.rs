@@ -17,21 +17,23 @@
 //!
 //! Both schedules produce **identical feature sets** (tested); they differ
 //! only in work/latency/memory, which [`ExtractionStats`] records and the
-//! `eslam-hw` timing model consumes.
+//! `eslam-hw` timing model consumes. The production path is the banded
+//! streaming front-end ([`crate::stream`]), which implements the
+//! Rescheduled schedule; the Original schedule is an ablation served by
+//! the scalar reference ([`OrbExtractor::extract_reference`]).
 
 use crate::brief::{
-    compute_descriptor, compute_descriptor_interior, pattern_fingerprint, OriginalBrief,
-    PatternOffsets, RsBrief,
+    compute_descriptor, pattern_fingerprint, OriginalBrief, PatternOffsets, RsBrief,
 };
 use crate::descriptor::Descriptor;
-use crate::fast::{self, FastDetection};
+use crate::fast;
 use crate::harris::harris_score;
 use crate::heap::{BestHeap, DEFAULT_HEAP_CAPACITY};
-use crate::nms::{suppress, suppress_sorted_into, NmsScratch, ScoredPoint};
+use crate::nms::{suppress, ScoredPoint};
 use crate::orientation::{angle_to_label, label_to_angle, patch_moments, Moments, OrientationLut};
 use crate::pool::WorkerPool;
-use crate::stream::{self, BandMode, BandScratch, ExtractMode, StreamScratch};
-use eslam_image::filter::{gaussian_blur_7x7_fixed_into, gaussian_blur_7x7_fixed_reference};
+use crate::stream::{self, BandMode, BandScratch};
+use eslam_image::filter::gaussian_blur_7x7_fixed_reference;
 use eslam_image::pyramid::{ImagePyramid, PyramidConfig, PyramidScratch};
 use eslam_image::GrayImage;
 use eslam_telemetry::{Stage, Telemetry};
@@ -74,20 +76,18 @@ pub struct OrbConfig {
     pub max_features: usize,
     /// Descriptor flavour.
     pub descriptor: DescriptorKind,
-    /// Workflow schedule.
+    /// Workflow schedule. [`Workflow::Rescheduled`] runs the banded
+    /// streaming front-end; [`Workflow::Original`] (the describe-after-
+    /// filter ablation) runs [`OrbExtractor::extract_reference`].
     pub workflow: Workflow,
     /// Seed for the descriptor pattern generation.
     pub pattern_seed: u64,
-    /// Extraction path: the fused streaming pass, the legacy multi-pass
-    /// pipeline, or automatic selection (overridable per process via
-    /// `ESLAM_EXTRACT`).
-    pub extract: ExtractMode,
-    /// Row-band count of the band-parallel streaming pass: each level
-    /// splits into this many independently streamed horizontal bands
-    /// (clamped per level to the usable interior rows), scheduled
-    /// depth-first across levels on the worker pool. `Auto` matches the
-    /// pool's thread count; overridable per process via `ESLAM_BANDS`.
-    /// Ignored by the multi-pass pipeline.
+    /// Row-band count of the streaming front-end: each level splits into
+    /// this many independently streamed horizontal bands (clamped per
+    /// level to the usable interior rows), scheduled depth-first across
+    /// levels on the worker pool. `Auto` matches the pool's thread
+    /// count; overridable per process via `ESLAM_BANDS`. Ignored by
+    /// [`Workflow::Original`], which runs the scalar reference.
     pub bands: BandMode,
 }
 
@@ -100,7 +100,6 @@ impl Default for OrbConfig {
             descriptor: DescriptorKind::RsBrief,
             workflow: Workflow::Rescheduled,
             pattern_seed: 0xe51a,
-            extract: ExtractMode::Auto,
             bands: BandMode::Auto,
         }
     }
@@ -176,40 +175,24 @@ enum Engine {
     Direct(OriginalBrief),
 }
 
-/// Per-pyramid-level scratch of the frame loop: detection, scoring, NMS,
-/// smoothing and descriptor buffers, all reused across frames.
+/// Per-pyramid-level scratch of the frame loop, reused across frames.
 #[derive(Debug, Default)]
-pub(crate) struct LevelScratch {
-    pub(crate) detections: Vec<FastDetection>,
-    scored: Vec<ScoredPoint>,
-    surviving: Vec<ScoredPoint>,
-    candidates: Vec<ScoredPoint>,
-    nms: NmsScratch,
-    smoothed: GrayImage,
-    blur_scratch: Vec<u16>,
+struct LevelScratch {
     /// RS-BRIEF sampling table compiled for this level's stride.
-    pub(crate) offsets: Option<PatternOffsets>,
-    /// Oriented + described candidates ([`Workflow::Rescheduled`]).
-    pub(crate) results: Vec<(Keypoint, Descriptor)>,
-    /// Oriented candidates ([`Workflow::Original`]).
-    pub(crate) keypoints: Vec<Keypoint>,
-    /// Line-buffer rings of the fused streaming pass.
-    pub(crate) stream: StreamScratch,
-    /// Per-band rings, results and counters of the band-parallel
-    /// streaming pass (empty until a band-split frame runs).
-    pub(crate) bands: Vec<BandScratch>,
-    /// Raw FAST detections this level produced (both paths set it; the
-    /// streaming pass reuses `detections` as a one-row band buffer, so
-    /// its length alone cannot feed the stats merge).
-    pub(crate) fast_count: usize,
-    /// Candidates surviving NMS + the edge margin (the paper's M).
-    pub(crate) cand_count: usize,
+    offsets: Option<PatternOffsets>,
+    /// One line-buffer set, result list and counter pair per row band
+    /// of the level (empty when the level is too small to scan).
+    bands: Vec<BandScratch>,
 }
 
 /// Caller-owned scratch for [`OrbExtractor::extract_with`]: holds the
-/// pyramid, smoothed levels and every intermediate buffer, so
-/// steady-state frame extraction performs **zero heap allocations**
-/// (after the first frame of a given geometry).
+/// pyramid, every band's line-buffer rings and result lists, and the
+/// compiled descriptor tables. After the first frame of a given
+/// geometry and band count, these image- and row-sized buffers are
+/// reused without reallocating. The band schedule itself still
+/// allocates a few small per-frame vectors (level dimensions, the task
+/// order, the task slots, one boxed closure per band), and the merge
+/// allocates its heap and the returned feature vectors.
 ///
 /// The scratch may also own a persistent [`WorkerPool`]
 /// ([`OrbScratch::with_threads`] / [`OrbScratch::with_pool`]); without
@@ -258,24 +241,18 @@ impl OrbScratch {
         self.telemetry = telemetry;
     }
 
-    /// Bytes currently held by the streaming pass's line buffers across
-    /// all pyramid levels — including every band's own rings under the
-    /// band-parallel schedule, whose full-width halo duplication is
-    /// exactly what the bound must charge for. Diagnostic for the
-    /// `O(width · bands)` working-memory claim: for a fixed width and
-    /// band count this is constant in image height (whereas the pass
-    /// pipeline's smoothed frame + `u16` scratch scale with
+    /// Bytes currently held by the streaming front-end's line buffers
+    /// across all pyramid levels and bands — every band's own rings
+    /// included, whose full-width halo duplication is exactly what the
+    /// bound must charge for. Diagnostic for the `O(width · bands)`
+    /// working-memory claim: for a fixed width and band count this is
+    /// constant in image height (a full smoothed frame would scale with
     /// `width × height`).
     pub fn stream_working_bytes(&self) -> usize {
         self.levels
             .iter()
-            .map(|ls| {
-                ls.stream.working_bytes()
-                    + ls.bands
-                        .iter()
-                        .map(BandScratch::working_bytes)
-                        .sum::<usize>()
-            })
+            .flat_map(|ls| &ls.bands)
+            .map(BandScratch::working_bytes)
             .sum()
     }
 }
@@ -347,51 +324,26 @@ impl OrbExtractor {
 
     /// Extracts features using caller-owned scratch buffers.
     ///
-    /// Extraction is processed **in parallel** on the worker pool: the
-    /// streaming path splits every pyramid level into horizontal row
-    /// bands on one depth-first schedule across levels (band count from
-    /// [`OrbConfig::bands`] / `ESLAM_BANDS`; one band per pool thread
-    /// under `Auto`), while the multi-pass path runs one task per
-    /// level. Either way results merge in deterministic (level, band)
-    /// order, so the result — keypoints, descriptors, and
-    /// [`ExtractionStats`] — is identical to the sequential scalar
-    /// reference ([`OrbExtractor::extract_reference`]) regardless of
-    /// thread or band count.
+    /// Every pyramid level splits into horizontal row bands
+    /// ([`stream::band_partition`]; band count from [`OrbConfig::bands`]
+    /// / `ESLAM_BANDS`, one band per pool thread under `Auto`), each band
+    /// streams through its own line buffers ([`crate::stream`]), and all
+    /// `(level, band)` tasks run on one depth-first schedule
+    /// ([`stream::depth_first_schedule`]) on the worker pool — inline on
+    /// a 1-thread pool. Results merge in deterministic `(level, band)`
+    /// order, so keypoints, descriptors and [`ExtractionStats`] are
+    /// bit-identical to the sequential scalar reference
+    /// ([`OrbExtractor::extract_reference`]) regardless of thread or
+    /// band count.
     ///
-    /// The per-level stage runs either the fused single-pass streaming
-    /// front-end ([`crate::stream`]) or the legacy multi-pass pipeline,
-    /// selected by [`OrbConfig::extract`] / `ESLAM_EXTRACT`; both
-    /// produce bit-identical features and stats.
+    /// [`Workflow::Original`] (describe after filtering) runs the scalar
+    /// reference itself: it is the §3.1 ablation, not a production
+    /// path, and its post-filter descriptor stage needs whole smoothed
+    /// levels the stream never holds.
     pub fn extract_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        let use_stream = stream::stream_active(self.config.extract, self.config.workflow);
-        self.extract_impl(image, scratch, use_stream)
-    }
-
-    /// Extraction pinned to the fused streaming front-end (falling back
-    /// to the pass pipeline under [`Workflow::Original`], whose
-    /// post-filter descriptor stage needs the full smoothed frame).
-    /// Benchmarks and the equivalence tier call this to compare the two
-    /// paths regardless of environment overrides.
-    pub fn extract_stream_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        self.extract_impl(
-            image,
-            scratch,
-            self.config.workflow == Workflow::Rescheduled,
-        )
-    }
-
-    /// Extraction pinned to the legacy multi-pass pipeline (the oracle
-    /// path the streaming front-end is verified against).
-    pub fn extract_passes_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        self.extract_impl(image, scratch, false)
-    }
-
-    fn extract_impl(
-        &self,
-        image: &GrayImage,
-        scratch: &mut OrbScratch,
-        use_stream: bool,
-    ) -> OrbFeatures {
+        if self.config.workflow == Workflow::Original {
+            return self.extract_reference(image);
+        }
         let OrbScratch {
             pyramid,
             pyramid_scratch,
@@ -399,7 +351,7 @@ impl OrbExtractor {
             pool,
             telemetry,
         } = scratch;
-        // `Option<&Telemetry>` is `Copy`, so the level tasks can capture
+        // `Option<&Telemetry>` is `Copy`, so the band tasks can capture
         // it by value; `timing` is `None` unless full mode is active, so
         // counters/off modes read no clocks here at all.
         let telemetry = telemetry.as_deref();
@@ -410,32 +362,17 @@ impl OrbExtractor {
             pyramid.build_into(image, &self.config.pyramid, pyramid_scratch);
         }
         let nlevels = pyramid.levels();
-        levels.truncate(nlevels);
-        while levels.len() < nlevels {
-            levels.push(LevelScratch::default());
-        }
+        levels.resize_with(nlevels, LevelScratch::default);
 
-        // Stage 1, per level (independent): detect → score → NMS →
-        // margin filter → smooth → orient (→ describe). Parallel levels
-        // run on the persistent pool — no per-frame thread spawns.
-        let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
-        let bands_requested = if use_stream {
-            stream::resolve_bands(self.config.bands, pool.threads())
-        } else {
-            1
-        };
-        let banded = use_stream && bands_requested > 1;
-        let parallel = nlevels > 1 && pool.threads() > 1;
-        if banded {
-            // Band-parallel streaming: every level splits into row
-            // bands ([`stream::band_partition`]) and all (level, band)
-            // tasks run on one depth-first schedule, so small upper
-            // levels fill in around the heavy level-0 bands instead of
-            // waiting behind a per-level barrier. Each band writes into
-            // its own `BandScratch` slot; the merge below reads the
-            // slots back in (level, band) order, which makes the result
-            // independent of the execution order and bit-identical to
-            // the single-band stream.
+        // Stage 1: every (level, band) task on one depth-first schedule,
+        // so small upper levels fill in around the heavy level-0 bands
+        // instead of waiting behind a per-level barrier. Each band writes
+        // into its own `BandScratch` slot, and the merge below reads the
+        // slots back in (level, band) order, which makes the result
+        // independent of the execution order.
+        {
+            let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
+            let bands_requested = stream::resolve_bands(self.config.bands, pool.threads());
             let dims: Vec<(u32, u32)> = pyramid
                 .iter()
                 .map(|(_, img)| (img.width(), img.height()))
@@ -446,27 +383,19 @@ impl OrbExtractor {
                 let scale = self.config.pyramid.scale_of(level);
                 // The offset table is compiled once up front and shared
                 // read-only across the level's bands.
-                self.prepare_offsets(img.width(), ls);
-                ls.results.clear();
-                ls.keypoints.clear();
-                ls.fast_count = 0;
-                ls.cand_count = 0;
+                self.prepare_offsets(img.width(), &mut ls.offsets);
                 let parts = stream::band_partition(img.height(), bands_requested);
-                ls.bands.truncate(parts.len());
-                while ls.bands.len() < parts.len() {
-                    ls.bands.push(BandScratch::default());
-                }
-                let LevelScratch { offsets, bands, .. } = ls;
-                let offsets = offsets.as_ref();
+                ls.bands.resize_with(parts.len(), BandScratch::default);
+                let offsets = ls.offsets.as_ref();
                 let mut level_tasks = Vec::with_capacity(parts.len());
-                for (bs, rows) in bands.iter_mut().zip(parts) {
+                for (bs, rows) in ls.bands.iter_mut().zip(parts) {
                     let enqueued = timing.map(|_| Instant::now());
                     level_tasks.push(Some(Box::new(move || {
                         if let (Some(t), Some(start)) = (timing, enqueued) {
                             t.record_since(Stage::PoolQueueWait, start);
                         }
                         let _span = Telemetry::span_opt(timing, Stage::ExtractBand);
-                        stream::process_band_stream(self, img, level, scale, offsets, bs, rows);
+                        stream::stream_band(self, img, level, scale, offsets, bs, rows);
                     })
                         as Box<dyn FnOnce() + Send + '_>));
                 }
@@ -482,110 +411,29 @@ impl OrbExtractor {
                 .collect();
             let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
             pool.scope_run(tasks);
-        } else if parallel {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = pyramid
-                .iter()
-                .zip(levels.iter_mut())
-                .map(|((level, img), ls)| {
-                    let scale = self.config.pyramid.scale_of(level);
-                    let enqueued = timing.map(|_| Instant::now());
-                    Box::new(move || {
-                        if let (Some(t), Some(start)) = (timing, enqueued) {
-                            t.record_since(Stage::PoolQueueWait, start);
-                        }
-                        let _span = Telemetry::span_opt(timing, Stage::ExtractLevel);
-                        if use_stream {
-                            stream::process_level_stream(self, img, level, scale, ls);
-                        } else {
-                            self.process_level(img, level, scale, ls);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
-            pool.scope_run(tasks);
-        } else {
-            for ((level, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
-                let scale = self.config.pyramid.scale_of(level);
-                let _span = Telemetry::span_opt(timing, Stage::ExtractLevel);
-                if use_stream {
-                    stream::process_level_stream(self, img, level, scale, ls);
-                } else {
-                    self.process_level(img, level, scale, ls);
-                }
-            }
         }
 
-        // Stage 2: deterministic merge in level order — the heap sees
-        // candidates in exactly the sequential order, so tie-breaking by
-        // arrival matches the reference bit-for-bit. Under the band
-        // split, bands partition a level's finalize rows in raster
-        // order, so reading band slots in band order *is* the level's
-        // sequential emission order (stats sum per owning band for the
-        // same reason).
+        // Stage 2: deterministic merge. Bands partition a level's
+        // finalize rows in raster order, so reading band slots in
+        // (level, band) order is the sequential emission order: the heap
+        // sees candidates exactly as the reference pushes them, so
+        // tie-breaking by arrival matches bit for bit, and stats sum per
+        // owning band.
         let mut stats = ExtractionStats {
             pixels_processed: pyramid.total_pixels(),
             ..Default::default()
         };
-        for ls in levels.iter() {
-            if banded {
-                for bs in &ls.bands {
-                    stats.fast_detections += bs.fast_count;
-                    stats.candidates += bs.cand_count;
-                }
-            } else {
-                stats.fast_detections += ls.fast_count;
-                stats.candidates += ls.cand_count;
+        let mut heap: BestHeap<(Keypoint, Descriptor)> = BestHeap::new(self.config.max_features);
+        for bs in levels.iter().flat_map(|ls| &ls.bands) {
+            stats.fast_detections += bs.fast_count;
+            stats.candidates += bs.cand_count;
+            stats.descriptors_computed += bs.results.len();
+            for &(kp, desc) in &bs.results {
+                heap.push(kp.score, (kp, desc));
             }
         }
-
-        let (keypoints, descriptors) = match self.config.workflow {
-            Workflow::Rescheduled => {
-                let mut heap: BestHeap<(Keypoint, Descriptor)> =
-                    BestHeap::new(self.config.max_features);
-                for ls in levels.iter() {
-                    if banded {
-                        for bs in &ls.bands {
-                            for &(kp, desc) in &bs.results {
-                                stats.descriptors_computed += 1;
-                                heap.push(kp.score, (kp, desc));
-                            }
-                        }
-                    } else {
-                        for &(kp, desc) in &ls.results {
-                            stats.descriptors_computed += 1;
-                            heap.push(kp.score, (kp, desc));
-                        }
-                    }
-                }
-                let mut kps = Vec::with_capacity(heap.len());
-                let mut descs = Vec::with_capacity(heap.len());
-                for (_, (kp, d)) in heap.into_sorted_vec() {
-                    kps.push(kp);
-                    descs.push(d);
-                }
-                (kps, descs)
-            }
-            Workflow::Original => {
-                let mut heap: BestHeap<Keypoint> = BestHeap::new(self.config.max_features);
-                for ls in levels.iter() {
-                    for &kp in &ls.keypoints {
-                        heap.push(kp.score, kp);
-                    }
-                }
-                let mut kps = Vec::with_capacity(heap.len());
-                let mut descs = Vec::with_capacity(heap.len());
-                for (_, kp) in heap.into_sorted_vec() {
-                    let ls = &levels[kp.level];
-                    let desc = self.describe_level(&ls.smoothed, &kp, ls.offsets.as_ref());
-                    stats.descriptors_computed += 1;
-                    kps.push(kp);
-                    descs.push(desc);
-                }
-                (kps, descs)
-            }
-        };
-
+        let (keypoints, descriptors): (Vec<Keypoint>, Vec<Descriptor>) =
+            heap.into_sorted_vec().into_iter().map(|(_, kd)| kd).unzip();
         stats.kept = keypoints.len();
         OrbFeatures {
             keypoints,
@@ -594,62 +442,13 @@ impl OrbExtractor {
         }
     }
 
-    /// The per-level pipeline stage; independent across levels.
-    pub(crate) fn process_level(
-        &self,
-        img: &GrayImage,
-        level: usize,
-        scale: f64,
-        ls: &mut LevelScratch,
-    ) {
-        fast::detect_into(img, self.config.fast_threshold, &mut ls.detections);
-        ls.fast_count = ls.detections.len();
-        ls.scored.clear();
-        for d in &ls.detections {
-            ls.scored.push(ScoredPoint {
-                x: d.x,
-                y: d.y,
-                score: harris_score(img, d.x, d.y),
-            });
-        }
-        suppress_sorted_into(&ls.scored, &mut ls.surviving, &mut ls.nms);
-        ls.candidates.clear();
-        ls.candidates.extend(ls.surviving.iter().filter(|p| {
-            p.x >= EDGE_MARGIN
-                && p.y >= EDGE_MARGIN
-                && p.x + EDGE_MARGIN < img.width()
-                && p.y + EDGE_MARGIN < img.height()
-        }));
-        ls.cand_count = ls.candidates.len();
-        gaussian_blur_7x7_fixed_into(img, &mut ls.smoothed, &mut ls.blur_scratch);
-        self.prepare_offsets(img.width(), ls);
-
-        ls.results.clear();
-        ls.keypoints.clear();
-        match self.config.workflow {
-            Workflow::Rescheduled => {
-                for i in 0..ls.candidates.len() {
-                    let c = ls.candidates[i];
-                    let kp = self.orient(&ls.smoothed, &c, level, scale);
-                    let desc = self.describe_level(&ls.smoothed, &kp, ls.offsets.as_ref());
-                    ls.results.push((kp, desc));
-                }
-            }
-            Workflow::Original => {
-                for i in 0..ls.candidates.len() {
-                    let c = ls.candidates[i];
-                    ls.keypoints
-                        .push(self.orient(&ls.smoothed, &c, level, scale));
-                }
-            }
-        }
-    }
-
     /// Sequential scalar reference of [`OrbExtractor::extract`]: the
     /// original per-pixel implementation built from the reference kernels
     /// ([`fast::detect_reference`], [`gaussian_blur_7x7_fixed_reference`],
     /// [`suppress`], clamped descriptor sampling). Retained as the
-    /// bit-exact oracle the optimized path is tested against.
+    /// bit-exact oracle the streaming path is tested against, and the
+    /// implementation [`OrbExtractor::extract_with`] runs for
+    /// [`Workflow::Original`].
     pub fn extract_reference(&self, image: &GrayImage) -> OrbFeatures {
         let pyramid = ImagePyramid::build(image, &self.config.pyramid);
         let mut stats = ExtractionStats {
@@ -743,19 +542,18 @@ impl OrbExtractor {
     /// when the geometry or the pattern changed since the last frame —
     /// the fingerprint guards scratch buffers shared across extractors
     /// with different engines or pattern seeds).
-    pub(crate) fn prepare_offsets(&self, width: u32, ls: &mut LevelScratch) {
+    fn prepare_offsets(&self, width: u32, offsets: &mut Option<PatternOffsets>) {
         if let Engine::Rs(rs) = &self.engine {
             let fp = pattern_fingerprint(rs.pattern());
-            if ls
-                .offsets
+            if offsets
                 .as_ref()
                 .is_none_or(|t| t.width() != width || t.fingerprint() != fp)
             {
-                ls.offsets = Some(PatternOffsets::new(rs.pattern(), width));
+                *offsets = Some(PatternOffsets::new(rs.pattern(), width));
             }
         } else {
             // A stale RS table must never survive into a non-RS engine.
-            ls.offsets = None;
+            *offsets = None;
         }
     }
 
@@ -795,34 +593,14 @@ impl OrbExtractor {
 
     /// Computes the steered descriptor for a keypoint.
     fn describe(&self, smoothed: &GrayImage, kp: &Keypoint) -> Descriptor {
-        match &self.engine {
-            Engine::Rs(rs) => rs.compute(smoothed, kp.level_x, kp.level_y, kp.label),
-            Engine::Original(orig) => orig.compute_lut(smoothed, kp.level_x, kp.level_y, kp.angle),
-            Engine::Direct(orig) => orig.compute_direct(smoothed, kp.level_x, kp.level_y, kp.angle),
-        }
-    }
-
-    /// Hot-path descriptor: RS-BRIEF keypoints sample through the
-    /// compiled per-level offset table (the keypoint margin of 16 pixels
-    /// exceeds the 15-pixel patch radius, so clamping never engages and
-    /// the result is bit-identical to [`OrbExtractor::describe`]).
-    fn describe_level(
-        &self,
-        smoothed: &GrayImage,
-        kp: &Keypoint,
-        offsets: Option<&PatternOffsets>,
-    ) -> Descriptor {
-        self.describe_at(
-            smoothed, kp.level_x, kp.level_y, kp.label, kp.angle, offsets,
-        )
+        self.describe_at(smoothed, kp.level_x, kp.level_y, kp.label, kp.angle)
     }
 
     /// Descriptor computation at explicit level coordinates — the
     /// streaming pass calls this with ring-buffer coordinates, where
-    /// `y` is the keypoint row's slot in the mirrored ring. Identical
-    /// engine dispatch to [`OrbExtractor::describe`]; none of the
-    /// engines' clamped sampling engages because the caller guarantees
-    /// a full radius-15 interior around `(x, y)`.
+    /// `y` is the keypoint row's slot in the mirrored ring (none of the
+    /// engines' clamped sampling engages there, because the caller
+    /// guarantees a full radius-15 interior around `(x, y)`).
     pub(crate) fn describe_at(
         &self,
         smoothed: &GrayImage,
@@ -830,16 +608,11 @@ impl OrbExtractor {
         y: u32,
         label: u8,
         angle: f64,
-        offsets: Option<&PatternOffsets>,
     ) -> Descriptor {
-        if let Some(table) = offsets {
-            compute_descriptor_interior(smoothed, x, y, table).steer(label)
-        } else {
-            match &self.engine {
-                Engine::Rs(rs) => rs.compute(smoothed, x, y, label),
-                Engine::Original(orig) => orig.compute_lut(smoothed, x, y, angle),
-                Engine::Direct(orig) => orig.compute_direct(smoothed, x, y, angle),
-            }
+        match &self.engine {
+            Engine::Rs(rs) => rs.compute(smoothed, x, y, label),
+            Engine::Original(orig) => orig.compute_lut(smoothed, x, y, angle),
+            Engine::Direct(orig) => orig.compute_direct(smoothed, x, y, angle),
         }
     }
 
@@ -1024,9 +797,10 @@ mod tests {
 
     #[test]
     fn optimized_extractor_matches_scalar_reference() {
-        // The headline equivalence: bitmask FAST + row-sliced kernels +
-        // offset-table descriptors + parallel levels vs the sequential
-        // per-pixel reference, bit for bit — features AND stats.
+        // The headline equivalence: the banded streaming front-end
+        // (bitmask FAST, row-shared Harris, ring-buffer blur, offset-table
+        // descriptors) vs the sequential per-pixel reference, bit for
+        // bit — features AND stats.
         for seed in 0..3u64 {
             let img = test_image(200, 150, seed);
             for kind in [

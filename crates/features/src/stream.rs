@@ -6,9 +6,10 @@
 //! sampler all tap the stream at fixed latencies. This module is the
 //! software mirror of that dataflow — one pass over each level, tiling
 //! the image through L1/L2 once, with a small ring of line buffers
-//! carrying the halo rows between stages. The legacy pass pipeline
-//! (`OrbExtractor::process_level`) stays as the bit-exact oracle,
-//! exactly like the PR 1 `*_reference` pattern.
+//! carrying the halo rows between stages. It is the only production
+//! extraction path; the scalar
+//! [`OrbExtractor::extract_reference`](crate::orb::OrbExtractor::extract_reference)
+//! stays as its bit-exact oracle.
 //!
 //! # Per-stage latency offsets
 //!
@@ -57,17 +58,17 @@
 //! rebuilds the Harris column sums from the ring). Peak extraction
 //! working memory is `O(width)` — independent of image height: `64·w`
 //! smoothed-ring bytes + `2·8·w` h-row bytes + `2·2·8·w` Sobel bytes +
-//! `4·3·w` column-sum bytes = `124·w` bytes per level and band, where the
-//! pass pipeline holds a full smoothed frame plus a `u16` scratch
-//! (`3·w·h` bytes).
+//! `4·3·w` column-sum bytes = `124·w` bytes per level and band, where a
+//! full smoothed frame plus a `u16` blur scratch would take `3·w·h`
+//! bytes.
 //!
 //! # Bit-identity
 //!
-//! Every stage reuses the exact kernels of the pass pipeline (shared
-//! band producers for blur, the same FAST decision, the local NMS rule
-//! of [`crate::nms::suppress`], the same interior moments/descriptor
-//! paths), candidates are emitted in the same raster order per level,
-//! and the merge is unchanged. Harris is the one stage with its own
+//! Every stage computes what the reference kernels compute (the same
+//! fixed-point blur taps, the same FAST decision, the local NMS rule of
+//! [`crate::nms::suppress`], the same moments and descriptor sampling),
+//! candidates are emitted in the same raster order per level, and the
+//! merge is the reference's heap. Harris is the one stage with its own
 //! kernel (`harris::RowHarris`): it sums the same Sobel products in
 //! `i32`, row-shared, where [`harris::harris_score`] sums them in `f64`
 //! per point. Every product and partial sum is an integer below 2³¹,
@@ -75,13 +76,12 @@
 //! same `sum_xx/yy/xy` to the same normalization tail and produce the
 //! same score bits; detections within 4 pixels of the border, where the
 //! Sobel taps clamp, still call `harris_score`. So keypoints, responses,
-//! angles, descriptors *and stats* are bit-identical to the pass
-//! pipeline. `tests/stream_equivalence.rs` proves it across the paper
-//! sequences.
+//! angles, descriptors *and stats* are bit-identical to the reference.
+//! `tests/stream_equivalence.rs` proves it across the paper sequences.
 //!
 //! # Band parallelism
 //!
-//! The stream is also the unit of parallelism: a level's finalize rows
+//! The band is also the unit of parallelism: a level's finalize rows
 //! (`[3, h − 3)`) partition into contiguous horizontal *bands*
 //! ([`band_partition`]), and each band streams independently through
 //! its own ring buffers — the only duplicated work is the halo re-scan
@@ -94,7 +94,8 @@
 //! tasks of a frame run on one depth-first schedule
 //! ([`depth_first_schedule`]) across the worker pool: heavy level-0
 //! bands dispatch first and the small upper-level bands fill the tail,
-//! replacing the old one-task-per-level barrier. Band count comes from
+//! with no per-level barrier. A single band per level is the same code
+//! with one task per level. Band count comes from
 //! [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig) (`Auto` = pool
 //! threads), overridable per process via [`BANDS_ENV`].
 
@@ -104,21 +105,17 @@ use crate::envopt;
 use crate::fast::{self, FastDetection};
 use crate::harris::{self, RowHarris};
 use crate::nms::ScoredPoint;
-use crate::orb::{Keypoint, LevelScratch, OrbExtractor, Workflow, EDGE_MARGIN};
+use crate::orb::{Keypoint, OrbExtractor, EDGE_MARGIN};
 use crate::orientation::patch_moments_ring;
 use eslam_image::filter::{blur_hrow_7x7_into, blur_vrow_7x7_into};
 use eslam_image::GrayImage;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Environment override selecting the extraction path; values `stream`,
-/// `passes`, or `auto` (see [`ExtractMode`] and `eslam_core::overrides`).
-pub const EXTRACT_ENV: &str = "ESLAM_EXTRACT";
-
 /// Environment override forcing the per-level row-band count of the
-/// band-parallel streaming pass; `auto` (or unset/empty) defers to
-/// [`BandMode`] in the config, a positive integer forces that many
-/// bands (see `eslam_core::overrides`).
+/// streaming pass; `auto` (or unset/empty) defers to [`BandMode`] in
+/// the config, a positive integer forces that many bands (see
+/// `eslam_core::overrides`).
 pub const BANDS_ENV: &str = "ESLAM_BANDS";
 
 /// Columns of halo the 7-tap blur needs on each side (also its row halo
@@ -163,87 +160,9 @@ pub const STREAM_LATENCY_ROWS: u32 = {
     }
 };
 
-/// Extraction-path selector carried in
+/// Row-band count selector for the streaming pass, carried in
 /// [`OrbConfig`](crate::orb::OrbConfig) and overridable per process via
-/// [`EXTRACT_ENV`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExtractMode {
-    /// Pick automatically: the streaming pass wherever the workflow
-    /// supports it (everything but [`Workflow::Original`], whose
-    /// post-filter descriptor stage needs the full smoothed frame).
-    #[default]
-    Auto,
-    /// Force the fused streaming pass (falls back to the pass pipeline,
-    /// with a one-time warning, where the workflow cannot stream).
-    Stream,
-    /// Force the legacy multi-pass pipeline (the oracle path).
-    Passes,
-}
-
-impl ExtractMode {
-    /// Parses a lowercased override value; `None` for anything outside
-    /// `auto` / `stream` / `passes`.
-    pub fn parse(value: &str) -> Option<ExtractMode> {
-        match value {
-            "auto" => Some(ExtractMode::Auto),
-            "stream" => Some(ExtractMode::Stream),
-            "passes" => Some(ExtractMode::Passes),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ExtractMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExtractMode::Auto => "auto",
-            ExtractMode::Stream => "stream",
-            ExtractMode::Passes => "passes",
-        })
-    }
-}
-
-/// The process-wide forced mode, read once. Typos hard-error via
-/// [`envopt::forced`]; `auto` (or unset/empty) forces nothing.
-pub(crate) fn forced_mode() -> Option<ExtractMode> {
-    static FORCED: OnceLock<Option<ExtractMode>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        envopt::forced(EXTRACT_ENV, "stream, passes, or auto", |v| match v {
-            "stream" => Some(ExtractMode::Stream),
-            "passes" => Some(ExtractMode::Passes),
-            _ => None,
-        })
-    })
-}
-
-/// Resolves whether extraction takes the streaming path: the forced env
-/// mode wins over the configured mode; `Auto` streams exactly where the
-/// workflow supports it. Forcing `stream` onto [`Workflow::Original`]
-/// warns once (through the telemetry event ring) and keeps the pass
-/// pipeline, mirroring the matcher's unsupported-kernel fallback.
-pub(crate) fn stream_active(config_mode: ExtractMode, workflow: Workflow) -> bool {
-    let mode = forced_mode().unwrap_or(config_mode);
-    match (mode, workflow) {
-        (ExtractMode::Passes, _) => false,
-        (_, Workflow::Rescheduled) => true,
-        (ExtractMode::Stream, Workflow::Original) => {
-            static WARNED: OnceLock<()> = OnceLock::new();
-            WARNED.get_or_init(|| {
-                eslam_telemetry::events::warn(
-                    "ESLAM_EXTRACT=stream requested but the Original workflow's \
-                     post-filter descriptor stage needs the full smoothed frame; \
-                     using the pass pipeline",
-                );
-            });
-            false
-        }
-        (ExtractMode::Auto, Workflow::Original) => false,
-    }
-}
-
-/// Row-band count selector for the band-parallel streaming pass,
-/// carried in [`OrbConfig`](crate::orb::OrbConfig) and overridable per
-/// process via [`BANDS_ENV`].
+/// [`BANDS_ENV`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BandMode {
     /// One band per worker-pool thread — a single-core host resolves to
@@ -383,8 +302,8 @@ pub fn depth_first_schedule(dims: &[(u32, u32)], requested: usize) -> Vec<BandTa
     tasks
 }
 
-/// Ring buffers of the streaming pass, held per level inside
-/// [`OrbScratch`](crate::orb::OrbScratch) and reused across frames.
+/// Ring buffers of one band of the streaming pass, reused across
+/// frames.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
     /// Mirrored smoothed ring: `2 · SMOOTH_RING_ROWS` physical rows.
@@ -406,11 +325,11 @@ impl StreamScratch {
     }
 }
 
-/// Per-band state of the band-parallel streaming pass: each band owns
-/// its own line-buffer rings, detection buffer, result list and
-/// counters, so bands of one level stream concurrently with no shared
-/// mutable state. Held per level inside
-/// [`OrbScratch`](crate::orb::OrbScratch) and reused across frames.
+/// Per-band state of the streaming pass: each band owns its own
+/// line-buffer rings, detection buffer, result list and counters, so
+/// bands of one level stream concurrently with no shared mutable state.
+/// Held per level inside [`OrbScratch`](crate::orb::OrbScratch) and
+/// reused across frames.
 #[derive(Debug, Default)]
 pub(crate) struct BandScratch {
     /// One-row FAST detection buffer.
@@ -433,18 +352,6 @@ impl BandScratch {
     pub(crate) fn working_bytes(&self) -> usize {
         self.stream.working_bytes()
     }
-}
-
-/// The mutable buffers one band streams through — grouped so the band
-/// runner can be fed either from a [`LevelScratch`]'s own fields (the
-/// single-band path) or from a [`BandScratch`] (the band-parallel
-/// path).
-struct BandBuffers<'a> {
-    detections: &'a mut Vec<FastDetection>,
-    stream: &'a mut StreamScratch,
-    results: &'a mut Vec<(Keypoint, Descriptor)>,
-    fast_count: &'a mut usize,
-    cand_count: &'a mut usize,
 }
 
 /// `q` suppresses `p` under the 3×3 NMS rule of
@@ -494,7 +401,7 @@ struct StreamLevel<'a> {
 impl StreamLevel<'_> {
     /// Finalizes NMS for row `yf` and emits every survivor behind the
     /// edge margin, in x order — the raster order
-    /// [`crate::nms::suppress_sorted_into`] + margin filtering produce.
+    /// [`crate::nms::suppress`] + margin filtering produce.
     fn finalize_row(&mut self, prev: &[ScoredPoint], cur: &[ScoredPoint], next: &[ScoredPoint]) {
         'candidate: for (i, p) in cur.iter().enumerate() {
             // In-row neighbours are adjacent in the sorted row.
@@ -546,7 +453,7 @@ impl StreamLevel<'_> {
         } else {
             let slot = (p.y - STREAM_PATCH_HALO) % SMOOTH_RING_ROWS + STREAM_PATCH_HALO;
             self.ex
-                .describe_at(self.ring, p.x, slot, kp.label, kp.angle, None)
+                .describe_at(self.ring, p.x, slot, kp.label, kp.angle)
         };
         self.results.push((kp, desc));
     }
@@ -597,63 +504,20 @@ impl StreamLevel<'_> {
     }
 }
 
-/// The fused per-level streaming pass: one scan over the level's rows
-/// drives FAST + Harris, 3×3 NMS one row behind, and — per surviving
-/// candidate — lazy blur, moments and descriptor off the ring buffers.
-/// Drop-in replacement for [`OrbExtractor::process_level`] under
-/// [`Workflow::Rescheduled`], bit-identical results and stats.
-pub(crate) fn process_level_stream(
-    ex: &OrbExtractor,
-    img: &GrayImage,
-    level: usize,
-    scale: f64,
-    ls: &mut LevelScratch,
-) {
-    if ex.config().workflow == Workflow::Original {
-        // Defensive: the Original schedule re-describes off the full
-        // smoothed frame after filtering; resolution should never route
-        // it here (see `stream_active`).
-        return ex.process_level(img, level, scale, ls);
-    }
-    ex.prepare_offsets(img.width(), ls);
-    ls.keypoints.clear();
-    let h = img.height() as usize;
-    let owned = if img.width() >= 7 && h >= 7 {
-        3..h - 3
-    } else {
-        0..0
-    };
-    let LevelScratch {
-        detections,
-        results,
-        stream,
-        offsets,
-        fast_count,
-        cand_count,
-        ..
-    } = ls;
-    stream_band(
-        ex,
-        img,
-        level,
-        scale,
-        offsets.as_ref(),
-        BandBuffers {
-            detections,
-            stream,
-            results,
-            fast_count,
-            cand_count,
-        },
-        owned,
-    );
-}
-
-/// Streams one row band of a level into its [`BandScratch`] — the task
-/// body of the band-parallel schedule. `offsets` must already be
-/// prepared by the caller (the table is shared read-only across a
-/// level's bands).
-pub(crate) fn process_band_stream(
+/// Streams one band of a level into its [`BandScratch`] — the task body
+/// of the depth-first band schedule. Raw rows
+/// `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are scanned
+/// and scored (one row of NMS halo on each interior side), exactly the
+/// `owned` rows are finalized, and survivors emit in raster order. The
+/// lazy blur chain independently re-produces up to
+/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first candidate —
+/// the duplicated halo work that buys band independence. Stats count
+/// owned rows only, so per-band sums equal the whole-level totals, and
+/// concatenating band outputs in band order reproduces the whole-level
+/// emission sequence exactly — the partition is invisible in the
+/// results. `offsets` must already be prepared by the caller (the table
+/// is shared read-only across a level's bands).
+pub(crate) fn stream_band(
     ex: &OrbExtractor,
     img: &GrayImage,
     level: usize,
@@ -669,47 +533,10 @@ pub(crate) fn process_band_stream(
         fast_count,
         cand_count,
     } = bs;
-    stream_band(
-        ex,
-        img,
-        level,
-        scale,
-        offsets,
-        BandBuffers {
-            detections,
-            stream,
-            results,
-            fast_count,
-            cand_count,
-        },
-        owned,
-    );
-}
-
-/// Streams one band of a level: raw rows
-/// `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are scanned
-/// and scored (one row of NMS halo on each interior side), exactly the
-/// `owned` rows are finalized, and survivors emit in raster order. The
-/// lazy blur chain independently re-produces up to
-/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first candidate —
-/// the duplicated halo work that buys band independence. Stats count
-/// owned rows only, so per-band sums equal the single-band totals, and
-/// concatenating band outputs in band order reproduces the single-band
-/// emission sequence exactly — the partition is invisible in the
-/// results.
-fn stream_band(
-    ex: &OrbExtractor,
-    img: &GrayImage,
-    level: usize,
-    scale: f64,
-    offsets: Option<&PatternOffsets>,
-    buf: BandBuffers<'_>,
-    owned: Range<usize>,
-) {
-    buf.results.clear();
-    *buf.fast_count = 0;
-    *buf.cand_count = 0;
-    for row in &mut buf.stream.rows {
+    results.clear();
+    *fast_count = 0;
+    *cand_count = 0;
+    for row in &mut stream.rows {
         row.clear();
     }
     let w = img.width() as usize;
@@ -718,17 +545,16 @@ fn stream_band(
         return;
     }
     debug_assert!(owned.start >= 3 && owned.end <= h - 3);
-    buf.stream.ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
-    buf.stream.hrows.resize(HROW_RING_ROWS as usize * w, 0);
-    buf.stream.harris.reset(img.width());
+    stream.ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
+    stream.hrows.resize(HROW_RING_ROWS as usize * w, 0);
+    stream.harris.reset(img.width());
 
-    let detections = buf.detections;
     let StreamScratch {
         ring,
         hrows,
         rows,
         harris,
-    } = buf.stream;
+    } = stream;
     let mut st = StreamLevel {
         ex,
         img,
@@ -739,8 +565,8 @@ fn stream_band(
         ring,
         hrows,
         offsets,
-        results: buf.results,
-        cand_count: buf.cand_count,
+        results,
+        cand_count,
         h_next: 0,
         smooth_next: 0,
     };
@@ -752,7 +578,7 @@ fn stream_band(
         detections.clear();
         fast::detect_band_into(img, threshold, y as u32..y as u32 + 1, detections);
         if owned.contains(&y) {
-            *buf.fast_count += detections.len();
+            *fast_count += detections.len();
         }
         let row = &mut rows[y % 3];
         row.clear();
@@ -830,16 +656,6 @@ mod tests {
         // The rings hold their widest consumer window.
         const { assert!(SMOOTH_RING_ROWS > 2 * STREAM_PATCH_HALO) };
         const { assert!(HROW_RING_ROWS > 2 * STREAM_BLUR_HALO) };
-    }
-
-    #[test]
-    fn extract_mode_parse_round_trips() {
-        for mode in [ExtractMode::Auto, ExtractMode::Stream, ExtractMode::Passes] {
-            assert_eq!(ExtractMode::parse(&mode.to_string()), Some(mode));
-        }
-        assert_eq!(ExtractMode::parse("strem"), None);
-        assert_eq!(ExtractMode::parse(""), None);
-        assert_eq!(ExtractMode::default(), ExtractMode::Auto);
     }
 
     #[test]
@@ -936,16 +752,16 @@ mod tests {
         // The tentpole identity at unit scale: Fixed(n) splits must be
         // invisible in the output (features AND stats) for every band
         // count, including counts past the interior-row clamp.
-        let passes = OrbExtractor::new(OrbConfig::default());
+        let reference = OrbExtractor::new(OrbConfig::default());
         for (w, h) in [(64u32, 64u32), (200, 150), (40, 400), (97, 83)] {
             let img = test_image(w, h, 21);
-            let oracle = passes.extract_passes_with(&img, &mut OrbScratch::default());
+            let oracle = reference.extract_reference(&img);
             for bands in [1usize, 2, 3, 4, 7, 64, 500] {
                 let e = OrbExtractor::new(OrbConfig {
                     bands: BandMode::Fixed(bands),
                     ..Default::default()
                 });
-                let split = e.extract_stream_with(&img, &mut OrbScratch::default());
+                let split = e.extract_with(&img, &mut OrbScratch::default());
                 assert_eq!(split, oracle, "{w}x{h} bands={bands}");
             }
         }
@@ -958,8 +774,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            // Satellite: degenerate sizes down to 1×1 must degrade the
-            // band count, never panic or drift from the multi-pass path.
+            // Degenerate sizes down to 1×1 must degrade the band count,
+            // never panic or drift from the scalar reference.
             #[test]
             fn banded_stream_matches_passes_on_degenerate_sizes(
                 w in 1u32..40, h in 1u32..40, bands in 1usize..10, seed in 0u64..1000,
@@ -969,9 +785,8 @@ mod tests {
                     bands: BandMode::Fixed(bands),
                     ..Default::default()
                 });
-                let split = e.extract_stream_with(&img, &mut OrbScratch::default());
-                let oracle = e.extract_passes_with(&img, &mut OrbScratch::default());
-                prop_assert_eq!(split, oracle);
+                let split = e.extract_with(&img, &mut OrbScratch::default());
+                prop_assert_eq!(split, e.extract_reference(&img));
             }
 
             // The row-shared Harris kernel restarts per band: its lazy
@@ -997,13 +812,10 @@ mod tests {
                     ..Default::default()
                 };
                 let split = OrbExtractor::new(config(bands))
-                    .extract_stream_with(&img, &mut OrbScratch::default());
-                let single = OrbExtractor::new(config(1))
-                    .extract_stream_with(&img, &mut OrbScratch::default());
-                prop_assert_eq!(&split, &single);
-                let oracle = OrbExtractor::new(config(1))
-                    .extract_passes_with(&img, &mut OrbScratch::default());
-                prop_assert_eq!(split, oracle);
+                    .extract_with(&img, &mut OrbScratch::default());
+                let single = OrbExtractor::new(config(1));
+                prop_assert_eq!(&split, &single.extract_with(&img, &mut OrbScratch::default()));
+                prop_assert_eq!(split, single.extract_reference(&img));
             }
 
             #[test]
@@ -1036,9 +848,12 @@ mod tests {
                 ..Default::default()
             });
             let img = test_image(160, 120, frame);
-            let reused = e.extract_stream_with(&img, &mut scratch);
-            let fresh = e.extract_passes_with(&img, &mut OrbScratch::default());
-            assert_eq!(reused, fresh, "frame {frame} bands {bands}");
+            let reused = e.extract_with(&img, &mut scratch);
+            assert_eq!(
+                reused,
+                e.extract_reference(&img),
+                "frame {frame} bands {bands}"
+            );
         }
         let small = test_image(96, 80, 9);
         let e = OrbExtractor::new(OrbConfig {
@@ -1046,8 +861,8 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(
-            e.extract_stream_with(&small, &mut scratch),
-            e.extract_passes_with(&small, &mut OrbScratch::default())
+            e.extract_with(&small, &mut scratch),
+            e.extract_reference(&small)
         );
     }
 
@@ -1065,9 +880,8 @@ mod tests {
             });
             for (w, h) in [(200u32, 150u32), (64, 64), (40, 400), (400, 40)] {
                 let img = test_image(w, h, kind as u64);
-                let stream = e.extract_stream_with(&img, &mut OrbScratch::default());
-                let passes = e.extract_passes_with(&img, &mut OrbScratch::default());
-                assert_eq!(stream, passes, "{kind:?} {w}x{h}");
+                let stream = e.extract_with(&img, &mut OrbScratch::default());
+                assert_eq!(stream, e.extract_reference(&img), "{kind:?} {w}x{h}");
             }
         }
     }
@@ -1077,9 +891,8 @@ mod tests {
         let e = OrbExtractor::new(OrbConfig::default());
         for (w, h) in [(1u32, 1u32), (6, 6), (8, 40), (40, 8), (17, 19), (33, 33)] {
             let img = test_image(w, h, 7);
-            let stream = e.extract_stream_with(&img, &mut OrbScratch::default());
-            let passes = e.extract_passes_with(&img, &mut OrbScratch::default());
-            assert_eq!(stream, passes, "{w}x{h}");
+            let stream = e.extract_with(&img, &mut OrbScratch::default());
+            assert_eq!(stream, e.extract_reference(&img), "{w}x{h}");
         }
     }
 
@@ -1089,15 +902,15 @@ mod tests {
         let mut scratch = OrbScratch::default();
         for seed in 0..3u64 {
             let img = test_image(160, 120, seed);
-            let reused = e.extract_stream_with(&img, &mut scratch);
-            let fresh = e.extract_stream_with(&img, &mut OrbScratch::default());
+            let reused = e.extract_with(&img, &mut scratch);
+            let fresh = e.extract_with(&img, &mut OrbScratch::default());
             assert_eq!(reused, fresh, "frame {seed}");
         }
         // Geometry change mid-stream.
         let small = test_image(96, 80, 9);
         assert_eq!(
-            e.extract_stream_with(&small, &mut scratch),
-            e.extract_passes_with(&small, &mut OrbScratch::default())
+            e.extract_with(&small, &mut scratch),
+            e.extract_reference(&small)
         );
     }
 
@@ -1106,27 +919,14 @@ mod tests {
         let e = OrbExtractor::new(OrbConfig::default());
         let mut short = OrbScratch::default();
         let mut tall = OrbScratch::default();
-        e.extract_stream_with(&test_image(128, 96, 0), &mut short);
-        e.extract_stream_with(&test_image(128, 768, 0), &mut tall);
+        e.extract_with(&test_image(128, 96, 0), &mut short);
+        e.extract_with(&test_image(128, 768, 0), &mut tall);
         let bytes = short.stream_working_bytes();
         assert!(bytes > 0, "streaming pass must have used its rings");
         assert_eq!(
             bytes,
             tall.stream_working_bytes(),
             "line-buffer memory must not scale with height"
-        );
-    }
-
-    #[test]
-    fn original_workflow_falls_back_to_passes() {
-        let e = OrbExtractor::new(OrbConfig {
-            workflow: Workflow::Original,
-            ..Default::default()
-        });
-        let img = test_image(160, 120, 3);
-        assert_eq!(
-            e.extract_stream_with(&img, &mut OrbScratch::default()),
-            e.extract_passes_with(&img, &mut OrbScratch::default())
         );
     }
 }
