@@ -2,14 +2,14 @@
 //! (detect → filter → compute) vs Rescheduled (detect → compute →
 //! filter) extraction schedules on the same frame.
 //!
-//! The two software timings are not a like-for-like schedule
-//! comparison. Rescheduled runs the production banded streaming
-//! front-end. Original is an ablation, not a production path: it runs
-//! the sequential scalar reference, which describes only the N kept
-//! features (against M ≥ N) but uses the unoptimized kernels, so it is
-//! the slower of the two here. The schedule comparison the paper makes
-//! — Rescheduled wins on hardware by eliminating idle states — is the
-//! modelled latency printed below and reported by `ablation_reschedule`.
+//! The two software timings are not a schedule comparison: both
+//! workflows run the same production banded streaming front-end, which
+//! filters before it describes (only the N kept features are described
+//! under either schedule), so they should time the same; the workflow
+//! changes only the reported descriptor count. The schedule comparison
+//! the paper makes — Rescheduled wins on hardware by eliminating idle
+//! states — is the modelled latency printed below and reported by
+//! `ablation_reschedule`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eslam_features::orb::{OrbConfig, OrbExtractor, Workflow};

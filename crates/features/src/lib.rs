@@ -17,11 +17,11 @@
 //!   Matcher, §3.2);
 //! * [`orb`] — the complete extractor with the paper's Original vs
 //!   Rescheduled workflow schedules (§3.1);
-//! * [`stream`] — the fused single-pass streaming front-end, the only
-//!   production extraction path: every pyramid level streams as row
-//!   bands through ring line buffers, the software mirror of the
-//!   accelerator's dataflow (band count via `ESLAM_BANDS` /
-//!   [`BandMode`]).
+//! * [`stream`] — the fused streaming front-end, the only production
+//!   extraction path: every pyramid level streams as row bands through
+//!   ring line buffers, the software mirror of the accelerator's
+//!   dataflow, and describes only the frame's top-N features (band
+//!   count via `ESLAM_BANDS` / [`BandMode`]).
 //!
 //! # Examples
 //!

@@ -17,10 +17,14 @@
 //!
 //! Both schedules produce **identical feature sets** (tested); they differ
 //! only in work/latency/memory, which [`ExtractionStats`] records and the
-//! `eslam-hw` timing model consumes. The production path is the banded
-//! streaming front-end ([`crate::stream`]), which implements the
-//! Rescheduled schedule; the Original schedule is an ablation served by
-//! the scalar reference ([`OrbExtractor::extract_reference`]).
+//! `eslam-hw` timing model consumes. Both run on one production path,
+//! the banded streaming front-end ([`crate::stream`]), which filters
+//! before it describes: on a CPU the M − N extra descriptors buy no
+//! overlap, so the stream computes only the N kept descriptors under
+//! either schedule, and the schedule changes only the reported
+//! [`ExtractionStats::descriptors_computed`]. The scalar reference
+//! ([`OrbExtractor::extract_reference`]) runs each schedule literally and
+//! is the bit-exact oracle.
 
 use crate::brief::{
     compute_descriptor, pattern_fingerprint, OriginalBrief, PatternOffsets, RsBrief,
@@ -32,7 +36,7 @@ use crate::heap::{BestHeap, DEFAULT_HEAP_CAPACITY};
 use crate::nms::{suppress, ScoredPoint};
 use crate::orientation::{angle_to_label, label_to_angle, patch_moments, Moments, OrientationLut};
 use crate::pool::WorkerPool;
-use crate::stream::{self, BandMode, BandScratch};
+use crate::stream::{self, BandMode, BandScratch, BandTask};
 use eslam_image::filter::gaussian_blur_7x7_fixed_reference;
 use eslam_image::pyramid::{ImagePyramid, PyramidConfig, PyramidScratch};
 use eslam_image::GrayImage;
@@ -76,9 +80,11 @@ pub struct OrbConfig {
     pub max_features: usize,
     /// Descriptor flavour.
     pub descriptor: DescriptorKind,
-    /// Workflow schedule. [`Workflow::Rescheduled`] runs the banded
-    /// streaming front-end; [`Workflow::Original`] (the describe-after-
-    /// filter ablation) runs [`OrbExtractor::extract_reference`].
+    /// Workflow schedule the hardware model charges. Both schedules run
+    /// the same banded streaming front-end, which describes only the
+    /// kept features, and return identical features; they differ only
+    /// in [`ExtractionStats::descriptors_computed`] (M under
+    /// [`Workflow::Rescheduled`], N under [`Workflow::Original`]).
     pub workflow: Workflow,
     /// Seed for the descriptor pattern generation.
     pub pattern_seed: u64,
@@ -86,8 +92,7 @@ pub struct OrbConfig {
     /// this many independently streamed horizontal bands (clamped per
     /// level to the usable interior rows), scheduled depth-first across
     /// levels on the worker pool. `Auto` matches the pool's thread
-    /// count; overridable per process via `ESLAM_BANDS`. Ignored by
-    /// [`Workflow::Original`], which runs the scalar reference.
+    /// count; overridable per process via `ESLAM_BANDS`.
     pub bands: BandMode,
 }
 
@@ -137,8 +142,11 @@ pub struct ExtractionStats {
     pub candidates: usize,
     /// Features finally kept (the paper's N ≤ 1024).
     pub kept: usize,
-    /// Descriptors actually computed: N for [`Workflow::Original`],
-    /// M for [`Workflow::Rescheduled`].
+    /// Descriptors the configured schedule computes — N for
+    /// [`Workflow::Original`], M for [`Workflow::Rescheduled`] — the
+    /// count the `eslam-hw` model charges. The streaming front-end
+    /// itself describes only the N kept features under either schedule;
+    /// [`OrbExtractor::extract_reference`] computes exactly this many.
     pub descriptors_computed: usize,
     /// Total pixels processed across the pyramid.
     pub pixels_processed: u64,
@@ -180,19 +188,21 @@ enum Engine {
 struct LevelScratch {
     /// RS-BRIEF sampling table compiled for this level's stride.
     offsets: Option<PatternOffsets>,
-    /// One line-buffer set, result list and counter pair per row band
-    /// of the level (empty when the level is too small to scan).
+    /// One line-buffer set, survivor, winner and result lists and
+    /// counter per row band of the level (empty when the level is too
+    /// small to scan).
     bands: Vec<BandScratch>,
 }
 
 /// Caller-owned scratch for [`OrbExtractor::extract_with`]: holds the
-/// pyramid, every band's line-buffer rings and result lists, and the
-/// compiled descriptor tables. After the first frame of a given
-/// geometry and band count, these image- and row-sized buffers are
-/// reused without reallocating. The band schedule itself still
-/// allocates a few small per-frame vectors (level dimensions, the task
-/// order, the task slots, one boxed closure per band), and the merge
-/// allocates its heap and the returned feature vectors.
+/// pyramid, every band's line-buffer rings and survivor, winner and
+/// result lists, and the compiled descriptor tables. After the first
+/// frame of a given geometry and band count, these image- and row-sized
+/// buffers are reused without reallocating. The band schedule itself
+/// still allocates a few small per-frame vectors (level dimensions, the
+/// task order, the task slots, one boxed closure per band task of each
+/// phase), and the selection allocates its heap and the returned
+/// feature vectors.
 ///
 /// The scratch may also own a persistent [`WorkerPool`]
 /// ([`OrbScratch::with_threads`] / [`OrbScratch::with_pool`]); without
@@ -283,10 +293,49 @@ pub struct OrbExtractor {
     lut: OrientationLut,
 }
 
-/// A band task parked in its (level, band) slot until the depth-first
-/// schedule moves it onto the pool (`Option` so each closure can be
-/// taken exactly once in schedule order).
-type BandTaskSlot<'env> = Option<Box<dyn FnOnce() + Send + 'env>>;
+/// Runs `task` for every band of `levels` that `wants` accepts, in the
+/// depth-first `schedule`'s order on `pool` (inline on a 1-thread pool).
+/// Each task records its queue wait and runs as one `stage` span; each
+/// band is handed out at most once, with its level's shared offset
+/// table, so the tasks share no mutable state.
+fn run_band_tasks<F>(
+    pool: &WorkerPool,
+    schedule: &[BandTask],
+    levels: &mut [LevelScratch],
+    timing: Option<&Telemetry>,
+    stage: Stage,
+    wants: fn(&BandScratch) -> bool,
+    task: F,
+) where
+    F: Fn(&BandTask, Option<&PatternOffsets>, &mut BandScratch) + Sync,
+{
+    let mut slots: Vec<(Option<&PatternOffsets>, Vec<Option<&mut BandScratch>>)> = levels
+        .iter_mut()
+        .map(|ls| (ls.offsets.as_ref(), ls.bands.iter_mut().map(Some).collect()))
+        .collect();
+    let task = &task;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = schedule
+        .iter()
+        .filter_map(|t| {
+            let (offsets, bands) = &mut slots[t.level];
+            let offsets = *offsets;
+            let bs = bands[t.band].take().expect("each band scheduled once");
+            if !wants(bs) {
+                return None;
+            }
+            let enqueued = timing.map(|_| Instant::now());
+            Some(Box::new(move || {
+                if let (Some(tm), Some(start)) = (timing, enqueued) {
+                    tm.record_since(Stage::PoolQueueWait, start);
+                }
+                let _span = Telemetry::span_opt(timing, stage);
+                task(t, offsets, bs);
+            }) as Box<dyn FnOnce() + Send + '_>)
+        })
+        .collect();
+    let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
+    pool.scope_run(tasks);
+}
 
 impl OrbExtractor {
     /// Creates an extractor, generating the descriptor pattern from
@@ -327,23 +376,23 @@ impl OrbExtractor {
     /// Every pyramid level splits into horizontal row bands
     /// ([`stream::band_partition`]; band count from [`OrbConfig::bands`]
     /// / `ESLAM_BANDS`, one band per pool thread under `Auto`), each band
-    /// streams through its own line buffers ([`crate::stream`]), and all
+    /// streams through its own line buffers ([`crate::stream`]), and the
     /// `(level, band)` tasks run on one depth-first schedule
     /// ([`stream::depth_first_schedule`]) on the worker pool — inline on
-    /// a 1-thread pool. Results merge in deterministic `(level, band)`
-    /// order, so keypoints, descriptors and [`ExtractionStats`] are
-    /// bit-identical to the sequential scalar reference
-    /// ([`OrbExtractor::extract_reference`]) regardless of thread or
-    /// band count.
+    /// a 1-thread pool — in two phases around one global selection:
     ///
-    /// [`Workflow::Original`] (describe after filtering) runs the scalar
-    /// reference itself: it is the §3.1 ablation, not a production
-    /// path, and its post-filter descriptor stage needs whole smoothed
-    /// levels the stream never holds.
+    /// 1. every band detects, scores and suppresses its candidates;
+    /// 2. one [`BestHeap`] of `max_features` takes every candidate in
+    ///    `(level, band, raster)` order — the reference's push order —
+    ///    and keeps the best N by `(score, arrival)`;
+    /// 3. every band holding winners orients and describes just those.
+    ///
+    /// Scores are known before anything is described, so the kept set
+    /// and its order are those of the sequential scalar reference
+    /// ([`OrbExtractor::extract_reference`]); keypoints, descriptors and
+    /// [`ExtractionStats`] are bit-identical to it regardless of thread
+    /// count, band count or [`Workflow`].
     pub fn extract_with(&self, image: &GrayImage, scratch: &mut OrbScratch) -> OrbFeatures {
-        if self.config.workflow == Workflow::Original {
-            return self.extract_reference(image);
-        }
         let OrbScratch {
             pyramid,
             pyramid_scratch,
@@ -361,80 +410,96 @@ impl OrbExtractor {
             let _span = Telemetry::span_opt(timing, Stage::PyramidBuild);
             pyramid.build_into(image, &self.config.pyramid, pyramid_scratch);
         }
-        let nlevels = pyramid.levels();
-        levels.resize_with(nlevels, LevelScratch::default);
-
-        // Stage 1: every (level, band) task on one depth-first schedule,
-        // so small upper levels fill in around the heavy level-0 bands
-        // instead of waiting behind a per-level barrier. Each band writes
-        // into its own `BandScratch` slot, and the merge below reads the
-        // slots back in (level, band) order, which makes the result
-        // independent of the execution order.
-        {
-            let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
-            let bands_requested = stream::resolve_bands(self.config.bands, pool.threads());
-            let dims: Vec<(u32, u32)> = pyramid
-                .iter()
-                .map(|(_, img)| (img.width(), img.height()))
-                .collect();
-            let schedule = stream::depth_first_schedule(&dims, bands_requested);
-            let mut slots: Vec<Vec<BandTaskSlot<'_>>> = Vec::with_capacity(nlevels);
-            for ((level, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
-                let scale = self.config.pyramid.scale_of(level);
-                // The offset table is compiled once up front and shared
-                // read-only across the level's bands.
-                self.prepare_offsets(img.width(), &mut ls.offsets);
-                let parts = stream::band_partition(img.height(), bands_requested);
-                ls.bands.resize_with(parts.len(), BandScratch::default);
-                let offsets = ls.offsets.as_ref();
-                let mut level_tasks = Vec::with_capacity(parts.len());
-                for (bs, rows) in ls.bands.iter_mut().zip(parts) {
-                    let enqueued = timing.map(|_| Instant::now());
-                    level_tasks.push(Some(Box::new(move || {
-                        if let (Some(t), Some(start)) = (timing, enqueued) {
-                            t.record_since(Stage::PoolQueueWait, start);
-                        }
-                        let _span = Telemetry::span_opt(timing, Stage::ExtractBand);
-                        stream::stream_band(self, img, level, scale, offsets, bs, rows);
-                    })
-                        as Box<dyn FnOnce() + Send + '_>));
-                }
-                slots.push(level_tasks);
-            }
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = schedule
-                .iter()
-                .map(|t| {
-                    slots[t.level][t.band]
-                        .take()
-                        .expect("each band scheduled once")
-                })
-                .collect();
-            let _span = Telemetry::span_opt(timing, Stage::PoolDispatch);
-            pool.scope_run(tasks);
+        let pyramid = &*pyramid;
+        levels.resize_with(pyramid.levels(), LevelScratch::default);
+        let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
+        let bands_requested = stream::resolve_bands(self.config.bands, pool.threads());
+        let dims: Vec<(u32, u32)> = pyramid
+            .iter()
+            .map(|(_, img)| (img.width(), img.height()))
+            .collect();
+        let schedule = stream::depth_first_schedule(&dims, bands_requested);
+        for ((_, img), ls) in pyramid.iter().zip(levels.iter_mut()) {
+            // The offset table is compiled once up front and shared
+            // read-only across the level's bands.
+            self.prepare_offsets(img.width(), &mut ls.offsets);
+            let bands = stream::band_partition(img.height(), bands_requested).len();
+            ls.bands.resize_with(bands, BandScratch::default);
         }
 
-        // Stage 2: deterministic merge. Bands partition a level's
-        // finalize rows in raster order, so reading band slots in
-        // (level, band) order is the sequential emission order: the heap
-        // sees candidates exactly as the reference pushes them, so
-        // tie-breaking by arrival matches bit for bit, and stats sum per
-        // owning band.
+        // Phase 1: FAST, Harris and NMS for every (level, band), so small
+        // upper levels fill in around the heavy level-0 bands instead of
+        // waiting behind a per-level barrier.
+        let threshold = self.config.fast_threshold;
+        run_band_tasks(
+            pool,
+            &schedule,
+            levels,
+            timing,
+            Stage::ExtractBand,
+            |_| true,
+            |t, _, bs| stream::stream_band(threshold, pyramid.level(t.level), bs, t.rows.clone()),
+        );
+
+        // Selection. Bands partition a level's finalize rows in raster
+        // order, so reading them in (level, band) order is the
+        // reference's candidate sequence: the heap sees every candidate
+        // exactly as the reference pushes it and breaks score ties by
+        // arrival the same way.
         let mut stats = ExtractionStats {
             pixels_processed: pyramid.total_pixels(),
             ..Default::default()
         };
-        let mut heap: BestHeap<(Keypoint, Descriptor)> = BestHeap::new(self.config.max_features);
-        for bs in levels.iter().flat_map(|ls| &ls.bands) {
-            stats.fast_detections += bs.fast_count;
-            stats.candidates += bs.cand_count;
-            stats.descriptors_computed += bs.results.len();
-            for &(kp, desc) in &bs.results {
-                heap.push(kp.score, (kp, desc));
+        let mut heap = BestHeap::new(self.config.max_features);
+        for (level, ls) in levels.iter().enumerate() {
+            for (band, bs) in ls.bands.iter().enumerate() {
+                stats.fast_detections += bs.fast_count;
+                stats.candidates += bs.survivors.len();
+                for (i, p) in bs.survivors.iter().enumerate() {
+                    heap.push(p.score, (level, band, i));
+                }
             }
         }
-        let (keypoints, descriptors): (Vec<Keypoint>, Vec<Descriptor>) =
-            heap.into_sorted_vec().into_iter().map(|(_, kd)| kd).unzip();
+        let selected = heap.into_sorted_vec();
+        for &(_, (level, band, i)) in &selected {
+            levels[level].bands[band].winners.push(i);
+        }
+        for bs in levels.iter_mut().flat_map(|ls| &mut ls.bands) {
+            bs.winners.sort_unstable();
+        }
+
+        // Phase 2: moments and descriptors for the winners only.
+        run_band_tasks(
+            pool,
+            &schedule,
+            levels,
+            timing,
+            Stage::DescribeBand,
+            |bs| !bs.winners.is_empty(),
+            |t, offsets, bs| {
+                let scale = self.config.pyramid.scale_of(t.level);
+                stream::describe_band(self, pyramid.level(t.level), t.level, scale, offsets, bs);
+            },
+        );
+
+        let (keypoints, descriptors): (Vec<Keypoint>, Vec<Descriptor>) = selected
+            .iter()
+            .map(|&(_, (level, band, i))| {
+                let bs = &levels[level].bands[band];
+                let k = bs
+                    .winners
+                    .binary_search(&i)
+                    .expect("every winner is described");
+                bs.results[k]
+            })
+            .unzip();
         stats.kept = keypoints.len();
+        // The configured schedule's descriptor count (what the `eslam-hw`
+        // model charges), not what this path computed.
+        stats.descriptors_computed = match self.config.workflow {
+            Workflow::Rescheduled => stats.candidates,
+            Workflow::Original => stats.kept,
+        };
         OrbFeatures {
             keypoints,
             descriptors,
@@ -446,9 +511,10 @@ impl OrbExtractor {
     /// original per-pixel implementation built from the reference kernels
     /// ([`fast::detect_reference`], [`gaussian_blur_7x7_fixed_reference`],
     /// [`suppress`], clamped descriptor sampling). Retained as the
-    /// bit-exact oracle the streaming path is tested against, and the
-    /// implementation [`OrbExtractor::extract_with`] runs for
-    /// [`Workflow::Original`].
+    /// bit-exact oracle the streaming path is tested against. It runs
+    /// the configured [`Workflow`] literally: all M candidates are
+    /// described before the filter under [`Workflow::Rescheduled`], only
+    /// the N kept ones after it under [`Workflow::Original`].
     pub fn extract_reference(&self, image: &GrayImage) -> OrbFeatures {
         let pyramid = ImagePyramid::build(image, &self.config.pyramid);
         let mut stats = ExtractionStats {
@@ -819,6 +885,33 @@ mod tests {
                     let reference = e.extract_reference(&img);
                     assert_eq!(fast_path, reference, "seed {seed} {kind:?} {workflow:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_kept_features_are_described() {
+        // Select, then describe: across every band the stream computes
+        // exactly N descriptors, whichever schedule's count it reports.
+        let img = test_image(320, 240, 4);
+        for workflow in [Workflow::Rescheduled, Workflow::Original] {
+            for bands in [1usize, 3] {
+                let e = OrbExtractor::new(OrbConfig {
+                    max_features: 40,
+                    workflow,
+                    bands: BandMode::Fixed(bands),
+                    ..Default::default()
+                });
+                let mut scratch = OrbScratch::default();
+                let f = e.extract_with(&img, &mut scratch);
+                assert!(f.stats.candidates > f.stats.kept);
+                let described: usize = scratch
+                    .levels
+                    .iter()
+                    .flat_map(|ls| &ls.bands)
+                    .map(|bs| bs.results.len())
+                    .sum();
+                assert_eq!(described, f.stats.kept, "{workflow:?} bands {bands}");
             }
         }
     }

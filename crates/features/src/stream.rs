@@ -1,15 +1,27 @@
-//! Fused single-pass streaming extraction front-end.
+//! Fused streaming extraction front-end.
 //!
 //! The paper's accelerator (§3, Fig. 4) never materializes intermediate
 //! images: each pyramid level streams row by row through line buffers,
 //! and smoothing, FAST, scoring, NMS, orientation and the descriptor
 //! sampler all tap the stream at fixed latencies. This module is the
-//! software mirror of that dataflow — one pass over each level, tiling
-//! the image through L1/L2 once, with a small ring of line buffers
-//! carrying the halo rows between stages. It is the only production
-//! extraction path; the scalar
-//! [`OrbExtractor::extract_reference`](crate::orb::OrbExtractor::extract_reference)
-//! stays as its bit-exact oracle.
+//! software mirror of that dataflow, split in two phases per row band
+//! with one global selection between them:
+//!
+//! 1. **Detect** (`stream_band`): one pass over the band's rows —
+//!    FAST, row-shared Harris and NMS through a small ring of line
+//!    buffers — collecting the surviving candidates with their scores.
+//!    No blur runs here.
+//! 2. **Select** (in [`OrbExtractor::extract_with`]): one heap of
+//!    `max_features` takes every band's candidates and keeps the best N.
+//! 3. **Describe** (`describe_band`): each band that holds winners
+//!    walks them in raster order through its lazy blur ring, computing
+//!    moments and descriptors for those N features only.
+//!
+//! The FPGA describes all M candidates so its descriptor units can
+//! stream (the Rescheduled workflow); on a CPU the M − N extra
+//! descriptors were the dominant cost, so the software describes after
+//! filtering. It is the only production extraction path; the scalar
+//! [`OrbExtractor::extract_reference`] stays as its bit-exact oracle.
 //!
 //! # Per-stage latency offsets
 //!
@@ -30,7 +42,8 @@
 //! [`STREAM_LATENCY_ROWS`] (= 18): the FAST/Harris/NMS chain trails the
 //! scan by 5 rows while the smoothing/descriptor chain trails it by 18,
 //! which is the figure the `eslam-hw` band schedule mirrors stage for
-//! stage.
+//! stage. The software runs the two chains in separate phases, but each
+//! still reads exactly these windows.
 //!
 //! # Ring buffers
 //!
@@ -53,49 +66,57 @@
 //!   NMS window.
 //!
 //! Blur and Sobel work are *lazy*: smoothed rows are produced only when
-//! a surviving candidate needs them, Sobel rows only when a detection
-//! row needs them, each skipping ahead over spans nobody reads (a jump
-//! rebuilds the Harris column sums from the ring). Peak extraction
-//! working memory is `O(width)` — independent of image height: `64·w`
+//! a winner of the selection needs them, Sobel rows only when a
+//! detection row needs them, each skipping ahead over spans nobody reads
+//! (a jump rebuilds the Harris column sums from the ring). The line
+//! buffers are `O(width)` — independent of image height: `64·w`
 //! smoothed-ring bytes + `2·8·w` h-row bytes + `2·2·8·w` Sobel bytes +
 //! `4·3·w` column-sum bytes = `124·w` bytes per level and band, where a
 //! full smoothed frame plus a `u16` blur scratch would take `3·w·h`
-//! bytes.
+//! bytes. Between the phases each band also holds its candidates: an
+//! `O(M)` list of 16-byte [`ScoredPoint`]s, ~400 KB across a rendered
+//! VGA frame's ~25k candidates.
 //!
 //! # Bit-identity
 //!
 //! Every stage computes what the reference kernels compute (the same
 //! fixed-point blur taps, the same FAST decision, the local NMS rule of
 //! [`crate::nms::suppress`], the same moments and descriptor sampling),
-//! candidates are emitted in the same raster order per level, and the
-//! merge is the reference's heap. Harris is the one stage with its own
-//! kernel (`harris::RowHarris`): it sums the same Sobel products in
-//! `i32`, row-shared, where [`harris::harris_score`] sums them in `f64`
-//! per point. Every product and partial sum is an integer below 2³¹,
-//! and `f64` adds such integers exactly in any order, so both hand the
-//! same `sum_xx/yy/xy` to the same normalization tail and produce the
-//! same score bits; detections within 4 pixels of the border, where the
-//! Sobel taps clamp, still call `harris_score`. So keypoints, responses,
-//! angles, descriptors *and stats* are bit-identical to the reference.
-//! `tests/stream_equivalence.rs` proves it across the paper sequences.
+//! and candidates come out in the same raster order per level. The
+//! selection pushes them into the reference's heap in `(level, band,
+//! raster)` order — the reference's own push order — and the heap
+//! orders only by `(score, arrival)`, so the winner set and its order
+//! are the reference's, ties at the N-th score included. Harris is the
+//! one stage with its own kernel (`harris::RowHarris`): it sums the same
+//! Sobel products in `i32`, row-shared, where [`harris::harris_score`]
+//! sums them in `f64` per point. Every product and partial sum is an
+//! integer below 2³¹, and `f64` adds such integers exactly in any order,
+//! so both hand the same `sum_xx/yy/xy` to the same normalization tail
+//! and produce the same score bits; detections within 4 pixels of the
+//! border, where the Sobel taps clamp, still call `harris_score`. So
+//! keypoints, responses, angles, descriptors *and stats* are
+//! bit-identical to the reference. `tests/stream_equivalence.rs` proves
+//! it across the paper sequences.
 //!
 //! # Band parallelism
 //!
 //! The band is also the unit of parallelism: a level's finalize rows
 //! (`[3, h − 3)`) partition into contiguous horizontal *bands*
 //! ([`band_partition`]), and each band streams independently through
-//! its own ring buffers — the only duplicated work is the halo re-scan
-//! above each interior band's first candidate (bounded by
-//! [`STREAM_LATENCY_ROWS`], exactly the overlap the paper's accelerator
-//! pays between its parallel compute units). Bands finalize their owned
-//! rows only, count stats for their owned scan rows only, and emit in
-//! raster order, so concatenating band outputs in band order reproduces
-//! the single-band emission sequence bit for bit. All `(level, band)`
-//! tasks of a frame run on one depth-first schedule
-//! ([`depth_first_schedule`]) across the worker pool: heavy level-0
-//! bands dispatch first and the small upper-level bands fill the tail,
-//! with no per-level barrier. A single band per level is the same code
-//! with one task per level. Band count comes from
+//! its own ring buffers. The only duplicated work is halo: the detect
+//! pass re-scans one NMS row (plus the Harris/FAST halo) on each
+//! interior side, and the describe pass re-smooths up to
+//! [`STREAM_LATENCY_ROWS`] raw rows above its first winner — exactly the
+//! overlap the paper's accelerator pays between its parallel compute
+//! units. Bands finalize their owned rows only, count stats for their
+//! owned scan rows only, and collect candidates in raster order, so
+//! concatenating band lists in band order reproduces the single-band
+//! candidate sequence bit for bit. Both phases run their `(level, band)`
+//! tasks on one depth-first schedule ([`depth_first_schedule`]) across
+//! the worker pool: heavy level-0 bands dispatch first and the small
+//! upper-level bands fill the tail, with no per-level barrier; the
+//! describe phase skips bands without winners. A single band per level
+//! is the same code with one task per level. Band count comes from
 //! [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig) (`Auto` = pool
 //! threads), overridable per process via [`BANDS_ENV`].
 
@@ -326,10 +347,10 @@ impl StreamScratch {
 }
 
 /// Per-band state of the streaming pass: each band owns its own
-/// line-buffer rings, detection buffer, result list and counters, so
-/// bands of one level stream concurrently with no shared mutable state.
-/// Held per level inside [`OrbScratch`](crate::orb::OrbScratch) and
-/// reused across frames.
+/// line-buffer rings, detection buffer, survivor and result lists and
+/// counter, so bands of one level run concurrently with no shared
+/// mutable state. Held per level inside
+/// [`OrbScratch`](crate::orb::OrbScratch) and reused across frames.
 #[derive(Debug, Default)]
 pub(crate) struct BandScratch {
     /// One-row FAST detection buffer.
@@ -337,14 +358,17 @@ pub(crate) struct BandScratch {
     /// The band's own ring buffers (full level width — the per-band
     /// halo duplication the working-memory accounting must include).
     pub(crate) stream: StreamScratch,
-    /// Oriented + described survivors of the band's owned rows, in
-    /// raster order.
+    /// Survivors of NMS + the edge margin on the band's owned rows, in
+    /// raster order: the band's share of the paper's M candidates.
+    pub(crate) survivors: Vec<ScoredPoint>,
+    /// Indices into `survivors` of the band's winners of the frame's
+    /// global top-N selection, ascending (raster order).
+    pub(crate) winners: Vec<usize>,
+    /// Oriented + described winners, aligned with `winners`.
     pub(crate) results: Vec<(Keypoint, Descriptor)>,
     /// Raw FAST detections on the band's owned scan rows (halo rows are
     /// scanned by two bands but counted by their owner only).
     pub(crate) fast_count: usize,
-    /// Survivors of NMS + the edge margin on the band's owned rows.
-    pub(crate) cand_count: usize,
 }
 
 impl BandScratch {
@@ -378,9 +402,54 @@ fn nms_window(rows: &[Vec<ScoredPoint>; 3], yf: usize) -> (&[ScoredPoint], &[Sco
     (&rows[(yf + 2) % 3], &rows[yf % 3])
 }
 
-/// Per-level state of the streaming pass that advances the lazy
-/// smoothing chain and emits finished candidates.
-struct StreamLevel<'a> {
+/// Finalizes NMS for one row of `img` and appends every survivor behind
+/// the edge margin to `survivors`, in x order — the raster order
+/// [`crate::nms::suppress`] + margin filtering produce.
+fn finalize_row(
+    img: &GrayImage,
+    prev: &[ScoredPoint],
+    cur: &[ScoredPoint],
+    next: &[ScoredPoint],
+    survivors: &mut Vec<ScoredPoint>,
+) {
+    'candidate: for (i, p) in cur.iter().enumerate() {
+        // In-row neighbours are adjacent in the sorted row.
+        if i > 0 {
+            let q = &cur[i - 1];
+            if q.x + 1 == p.x && beats(q, p) {
+                continue 'candidate;
+            }
+        }
+        if let Some(q) = cur.get(i + 1) {
+            if q.x == p.x + 1 && beats(q, p) {
+                continue 'candidate;
+            }
+        }
+        for q in row_neighbors(prev, p.x) {
+            if beats(q, p) {
+                continue 'candidate;
+            }
+        }
+        for q in row_neighbors(next, p.x) {
+            if beats(q, p) {
+                continue 'candidate;
+            }
+        }
+        if p.x < EDGE_MARGIN
+            || p.y < EDGE_MARGIN
+            || p.x + EDGE_MARGIN >= img.width()
+            || p.y + EDGE_MARGIN >= img.height()
+        {
+            continue 'candidate;
+        }
+        survivors.push(*p);
+    }
+}
+
+/// Phase-2 state of one band: the lazy smoothing chain over the band's
+/// ring, advanced only as far as its winners need, and the describer
+/// that reads moments and descriptors off it.
+struct BandDescriber<'a> {
     ex: &'a OrbExtractor,
     img: &'a GrayImage,
     level: usize,
@@ -391,55 +460,15 @@ struct StreamLevel<'a> {
     hrows: &'a mut [u16],
     offsets: Option<&'a PatternOffsets>,
     results: &'a mut Vec<(Keypoint, Descriptor)>,
-    cand_count: &'a mut usize,
     /// Next raw row to run the horizontal blur on.
     h_next: usize,
     /// Next smoothed row to produce into the ring.
     smooth_next: usize,
 }
 
-impl StreamLevel<'_> {
-    /// Finalizes NMS for row `yf` and emits every survivor behind the
-    /// edge margin, in x order — the raster order
-    /// [`crate::nms::suppress`] + margin filtering produce.
-    fn finalize_row(&mut self, prev: &[ScoredPoint], cur: &[ScoredPoint], next: &[ScoredPoint]) {
-        'candidate: for (i, p) in cur.iter().enumerate() {
-            // In-row neighbours are adjacent in the sorted row.
-            if i > 0 {
-                let q = &cur[i - 1];
-                if q.x + 1 == p.x && beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            if let Some(q) = cur.get(i + 1) {
-                if q.x == p.x + 1 && beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            for q in row_neighbors(prev, p.x) {
-                if beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            for q in row_neighbors(next, p.x) {
-                if beats(q, p) {
-                    continue 'candidate;
-                }
-            }
-            if p.x < EDGE_MARGIN
-                || p.y < EDGE_MARGIN
-                || p.x + EDGE_MARGIN >= self.img.width()
-                || p.y + EDGE_MARGIN >= self.img.height()
-            {
-                continue 'candidate;
-            }
-            *self.cand_count += 1;
-            self.emit(p);
-        }
-    }
-
-    /// Orients and describes one surviving candidate off the ring.
-    fn emit(&mut self, p: &ScoredPoint) {
+impl BandDescriber<'_> {
+    /// Orients and describes one winner off the ring.
+    fn describe(&mut self, p: &ScoredPoint) {
         let yc = p.y as usize;
         let halo = STREAM_PATCH_HALO as usize;
         // The edge margin guarantees yc ± 15 stay inside the image.
@@ -504,38 +533,35 @@ impl StreamLevel<'_> {
     }
 }
 
-/// Streams one band of a level into its [`BandScratch`] — the task body
-/// of the depth-first band schedule. Raw rows
-/// `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are scanned
-/// and scored (one row of NMS halo on each interior side), exactly the
-/// `owned` rows are finalized, and survivors emit in raster order. The
-/// lazy blur chain independently re-produces up to
-/// [`STREAM_LATENCY_ROWS`] raw rows above the band's first candidate —
-/// the duplicated halo work that buys band independence. Stats count
-/// owned rows only, so per-band sums equal the whole-level totals, and
-/// concatenating band outputs in band order reproduces the whole-level
-/// emission sequence exactly — the partition is invisible in the
-/// results. `offsets` must already be prepared by the caller (the table
-/// is shared read-only across a level's bands).
+/// Phase 1 of one band — the task body of the first depth-first band
+/// schedule: FAST, row-shared Harris and NMS, with no blur at all. Raw
+/// rows `max(3, owned.start − 1) .. min(h − 3, owned.end + 1)` are
+/// scanned and scored (one row of NMS halo on each interior side),
+/// exactly the `owned` rows are finalized, and their survivors land in
+/// `bs.survivors` in raster order. Stats count owned rows only, so
+/// per-band sums equal the whole-level totals, and concatenating band
+/// survivors in band order reproduces the whole-level candidate
+/// sequence exactly — the partition is invisible in the results. The
+/// band's smoothed and h-row rings are shaped here for
+/// [`describe_band`], which fills them lazily.
 pub(crate) fn stream_band(
-    ex: &OrbExtractor,
+    threshold: u8,
     img: &GrayImage,
-    level: usize,
-    scale: f64,
-    offsets: Option<&PatternOffsets>,
     bs: &mut BandScratch,
     owned: Range<usize>,
 ) {
     let BandScratch {
         detections,
         stream,
+        survivors,
+        winners,
         results,
         fast_count,
-        cand_count,
     } = bs;
+    survivors.clear();
+    winners.clear();
     results.clear();
     *fast_count = 0;
-    *cand_count = 0;
     for row in &mut stream.rows {
         row.clear();
     }
@@ -548,29 +574,7 @@ pub(crate) fn stream_band(
     stream.ring.reshape(img.width(), 2 * SMOOTH_RING_ROWS);
     stream.hrows.resize(HROW_RING_ROWS as usize * w, 0);
     stream.harris.reset(img.width());
-
-    let StreamScratch {
-        ring,
-        hrows,
-        rows,
-        harris,
-    } = stream;
-    let mut st = StreamLevel {
-        ex,
-        img,
-        level,
-        scale,
-        w,
-        h,
-        ring,
-        hrows,
-        offsets,
-        results,
-        cand_count,
-        h_next: 0,
-        smooth_next: 0,
-    };
-    let threshold = ex.config().fast_threshold;
+    let StreamScratch { rows, harris, .. } = stream;
 
     let scan_lo = owned.start.max(4) - 1;
     let scan_hi = (owned.end + 1).min(h - 3);
@@ -590,7 +594,7 @@ pub(crate) fn stream_band(
             // ring slot (`owned.start == 3`, the image border).
             if owned.contains(&yf) {
                 let (prev, cur) = nms_window(rows, yf);
-                st.finalize_row(prev, cur, &rows[(yf + 1) % 3]);
+                finalize_row(img, prev, cur, &rows[(yf + 1) % 3], survivors);
             }
         }
     }
@@ -601,7 +605,50 @@ pub(crate) fn stream_band(
     if owned.end == h - 3 {
         let yf = h - 4;
         let (prev, cur) = nms_window(rows, yf);
-        st.finalize_row(prev, cur, &[]);
+        finalize_row(img, prev, cur, &[], survivors);
+    }
+}
+
+/// Phase 2 of one band — the task body of the second band schedule:
+/// orients and describes the band's `winners` of the global selection,
+/// in raster order, into `bs.results`. The lazy blur chain smooths only
+/// the rows those winners' patches cover, independently re-producing up
+/// to [`STREAM_LATENCY_ROWS`] raw rows above the band's first winner —
+/// the duplicated halo work that buys band independence. `offsets` must
+/// already be prepared by the caller (the table is shared read-only
+/// across a level's bands).
+pub(crate) fn describe_band(
+    ex: &OrbExtractor,
+    img: &GrayImage,
+    level: usize,
+    scale: f64,
+    offsets: Option<&PatternOffsets>,
+    bs: &mut BandScratch,
+) {
+    let BandScratch {
+        stream,
+        survivors,
+        winners,
+        results,
+        ..
+    } = bs;
+    results.clear();
+    let mut describer = BandDescriber {
+        ex,
+        img,
+        level,
+        scale,
+        w: img.width() as usize,
+        h: img.height() as usize,
+        ring: &mut stream.ring,
+        hrows: &mut stream.hrows,
+        offsets,
+        results,
+        h_next: 0,
+        smooth_next: 0,
+    };
+    for &i in winners.iter() {
+        describer.describe(&survivors[i]);
     }
 }
 
@@ -775,14 +822,17 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             // Degenerate sizes down to 1×1 must degrade the band count,
-            // never panic or drift from the scalar reference.
+            // never panic or drift from the scalar reference, wherever
+            // the top-N cut falls.
             #[test]
             fn banded_stream_matches_passes_on_degenerate_sizes(
                 w in 1u32..40, h in 1u32..40, bands in 1usize..10, seed in 0u64..1000,
+                max_features in 1usize..64,
             ) {
                 let img = test_image(w, h, seed);
                 let e = OrbExtractor::new(OrbConfig {
                     bands: BandMode::Fixed(bands),
+                    max_features,
                     ..Default::default()
                 });
                 let split = e.extract_with(&img, &mut OrbScratch::default());

@@ -158,10 +158,14 @@ pub enum Stage {
     Track,
     /// Image-pyramid build (downscale chain) for one frame.
     PyramidBuild,
-    /// One row band's streaming extraction pass (one span per
-    /// (level, band) task of the depth-first schedule; Perfetto worker
-    /// tracks show the realized overlap).
+    /// One row band's streaming detection pass: FAST, Harris and NMS
+    /// (one span per (level, band) task of the depth-first schedule;
+    /// Perfetto worker tracks show the realized overlap).
     ExtractBand,
+    /// One row band's describe task: moments and descriptors for the
+    /// band's winners of the frame's top-N selection (one span per
+    /// band that holds winners).
+    DescribeBand,
     /// The whole feature-extraction stage of one frame.
     Extraction,
     /// Time an extraction task waited in the worker-pool queue before a
@@ -195,7 +199,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (array dimension for per-stage state).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
 
     /// Every stage, in declaration order (index == discriminant).
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -203,6 +207,7 @@ impl Stage {
         Stage::Track,
         Stage::PyramidBuild,
         Stage::ExtractBand,
+        Stage::DescribeBand,
         Stage::Extraction,
         Stage::PoolQueueWait,
         Stage::PoolDispatch,
@@ -225,6 +230,7 @@ impl Stage {
             Stage::Track => "track",
             Stage::PyramidBuild => "pyramid_build",
             Stage::ExtractBand => "extract_band",
+            Stage::DescribeBand => "describe_band",
             Stage::Extraction => "extraction",
             Stage::PoolQueueWait => "pool_queue_wait",
             Stage::PoolDispatch => "pool_dispatch",

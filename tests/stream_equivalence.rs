@@ -45,6 +45,20 @@ fn assert_matches_reference(extractor: &OrbExtractor, img: &GrayImage, context: 
     assert_eq!(stream, extractor.extract_reference(img), "{context}");
 }
 
+/// Bright 16-pixel squares on a dark ground, one every 28 pixels. Every
+/// square corner is the same ideal step corner, and nearest-neighbour
+/// downscaling keeps the edges sharp, so many candidates on every
+/// pyramid level share the exact same Harris score.
+fn repeated_tiles(w: u32, h: u32) -> GrayImage {
+    GrayImage::from_fn(w, h, |x, y| {
+        if (x + 6) % 28 < 16 && (y + 6) % 28 < 16 {
+            200
+        } else {
+            40
+        }
+    })
+}
+
 #[test]
 fn streaming_bit_identical_across_all_paper_sequences() {
     let extractor = OrbExtractor::new(OrbConfig::default());
@@ -98,8 +112,8 @@ fn streaming_bit_identical_on_odd_and_degenerate_sizes() {
 
 #[test]
 fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
-    // Every descriptor engine streams under Rescheduled; the Original
-    // workflow (describe after filtering) runs the reference itself.
+    // Every descriptor engine streams under both workflows; only the
+    // reported descriptor count differs between them.
     let img = textured(200, 150, 3);
     for kind in [
         DescriptorKind::RsBrief,
@@ -114,6 +128,93 @@ fn streaming_bit_identical_for_all_descriptor_kinds_and_workflows() {
                 ..Default::default()
             });
             assert_matches_reference(&extractor, &img, &format!("{kind:?} {workflow:?}"));
+        }
+    }
+}
+
+#[test]
+fn selection_cut_inside_a_tie_group_matches_the_reference() {
+    // The global top-N selection must break score ties exactly as the
+    // reference's heap does, including when the N-th and (N+1)-th
+    // candidates share a score and lie in different bands and levels.
+    let (w, h) = (320u32, 240u32);
+    let img = repeated_tiles(w, h);
+    let config = |max_features, bands| OrbConfig {
+        max_features,
+        bands: BandMode::Fixed(bands),
+        ..Default::default()
+    };
+    let m = OrbExtractor::new(OrbConfig::default())
+        .extract_reference(&img)
+        .stats
+        .candidates;
+    // Every candidate, best first, in the reference's order.
+    let all = OrbExtractor::new(config(m, 1)).extract_reference(&img);
+    assert_eq!(all.len(), m);
+    let scores: Vec<f64> = all.keypoints.iter().map(|kp| kp.score).collect();
+    // The largest run of equal scores.
+    let (mut start, mut len) = (0, 0);
+    let mut run_start = 0;
+    for i in 1..=scores.len() {
+        if i == scores.len() || scores[i] != scores[run_start] {
+            if i - run_start > len {
+                (start, len) = (run_start, i - run_start);
+            }
+            run_start = i;
+        }
+    }
+    let group = &all.keypoints[start..start + len];
+    let levels: std::collections::BTreeSet<usize> = group.iter().map(|kp| kp.level).collect();
+    let rows = group.iter().filter(|kp| kp.level == 0).map(|kp| kp.level_y);
+    let (top, bottom) = (rows.clone().min().unwrap(), rows.max().unwrap());
+    assert!(len >= 8, "tie group of {len} is too small to cut inside");
+    assert!(levels.len() >= 2, "tie group spans levels {levels:?}");
+    assert!(
+        top < h / 4 && bottom > 3 * h / 4,
+        "tie group rows {top}..={bottom} must cross every band boundary"
+    );
+    for cut in [start + 1, start + len / 2, start + len - 1] {
+        let oracle = OrbExtractor::new(config(cut, 1)).extract_reference(&img);
+        assert_eq!(oracle.len(), cut);
+        for bands in 1..=4 {
+            let streamed = OrbExtractor::new(config(cut, bands))
+                .extract_with(&img, &mut OrbScratch::default());
+            assert_eq!(
+                streamed,
+                oracle,
+                "cut {cut} of tie group {start}..{}, bands {bands}",
+                start + len
+            );
+        }
+    }
+}
+
+#[test]
+fn selection_bounds_match_the_reference() {
+    // max_features at 1, exactly M and past M (every candidate wins),
+    // for a textured image and a paper-sequence frame.
+    let frame = paper_sequences(1)[0].frame(0).gray.clone();
+    for (name, img) in [("textured", textured(200, 150, 4)), ("paper", frame)] {
+        let m = OrbExtractor::new(OrbConfig::default())
+            .extract_reference(&img)
+            .stats
+            .candidates;
+        assert!(m > 1, "{name}: {m} candidates");
+        for max_features in [1, m, m + 1, 2 * m] {
+            for bands in [1usize, 2, 4] {
+                let extractor = OrbExtractor::new(OrbConfig {
+                    max_features,
+                    bands: BandMode::Fixed(bands),
+                    ..Default::default()
+                });
+                let streamed = extractor.extract_with(&img, &mut OrbScratch::default());
+                assert_eq!(streamed.len(), max_features.min(m));
+                assert_eq!(
+                    streamed,
+                    extractor.extract_reference(&img),
+                    "{name} max_features {max_features} bands {bands}"
+                );
+            }
         }
     }
 }
@@ -298,10 +399,10 @@ fn slam_default_config_streams_and_matches_manual_extraction() {
 }
 
 #[test]
-fn original_workflow_runs_the_reference() {
-    // The describe-after-filter ablation is served by the scalar
-    // reference: identical output, and only the kept features are
-    // described (N descriptors, not M).
+fn original_workflow_matches_the_reference() {
+    // The describe-after-filter schedule runs the production stream:
+    // identical output to the scalar reference, and the schedule's
+    // count is only the kept features (N descriptors, not M).
     let img = paper_sequences(1)[2].frame(0).gray.clone();
     let extractor = OrbExtractor::new(OrbConfig {
         workflow: Workflow::Original,
