@@ -18,8 +18,8 @@
 //!   [`BackendRunner`] driving sliding-window local BA
 //!   (`eslam_geometry::ba`) **and** the loop-closure pipeline either
 //!   inline or on the persistent `WorkerPool` via its fire-and-collect
-//!   `submit`/`TaskHandle` API, and the [`BackendMode`]/[`BACKEND_ENV`]
-//!   execution toggle;
+//!   `submit`/`TaskHandle` API, and the [`BackendMode`] execution
+//!   toggle;
 //! * [`loop_closure`] — place recognition over an online-trained binary
 //!   BoW vocabulary (`eslam_features::bow`, inverted word→keyframe
 //!   index, SIMD brute-force fallback while the vocabulary trains),
@@ -41,8 +41,7 @@
 //! [`BackendRunner::take_refinement`]) — never "whenever the thread
 //! happens to finish". The workspace tier
 //! `tests/backend_equivalence.rs` enforces this across pool shapes and
-//! sequences; CI additionally runs the whole suite under
-//! `ESLAM_BACKEND=sync` and `=async`.
+//! sequences.
 //!
 //! # Example
 //!
@@ -55,31 +54,30 @@
 //! let camera = PinholeCamera::tum_fr1();
 //! let mut config = BackendConfig::default();
 //! config.mode = BackendMode::Sync;
-//! if let Some(mut runner) = BackendRunner::new(config, camera) {
-//!     let pool = WorkerPool::new(1);
-//!     let landmarks: Vec<Vec3> =
-//!         (0..20).map(|i| Vec3::new(i as f64 * 0.1 - 1.0, 0.2, 3.0)).collect();
-//!     for (frame, pose) in [(0usize, Se3::identity()),
-//!                           (5, Se3::from_translation(Vec3::new(0.1, 0.0, 0.0)))] {
-//!         let observations = landmarks.iter().enumerate()
-//!             .filter_map(|(i, p)| {
-//!                 let cam = pose.transform(*p);
-//!                 camera.project(cam)
-//!                     .map(|uv| KeyframeObservation { landmark: i as u64, pixel: uv,
-//!                                                     position: cam })
-//!             })
-//!             .collect();
-//!         runner.on_keyframe(
-//!             &pool,
-//!             KeyframeData { frame_index: frame, timestamp: frame as f64 / 30.0,
-//!                            pose_w2c: pose, observations, descriptors: Vec::new() },
-//!             &mut |id| landmarks.get(id as usize).copied(),
-//!         );
-//!     }
-//!     // The refinement is collected at the next frame boundary.
-//!     let outcome = runner.take_refinement().expect("one solve dispatched");
-//!     assert_eq!(outcome.keyframes.len(), 2);
+//! let mut runner = BackendRunner::new(config, camera).expect("sync mode runs");
+//! let pool = WorkerPool::new(1);
+//! let landmarks: Vec<Vec3> =
+//!     (0..20).map(|i| Vec3::new(i as f64 * 0.1 - 1.0, 0.2, 3.0)).collect();
+//! for (frame, pose) in [(0usize, Se3::identity()),
+//!                       (5, Se3::from_translation(Vec3::new(0.1, 0.0, 0.0)))] {
+//!     let observations = landmarks.iter().enumerate()
+//!         .filter_map(|(i, p)| {
+//!             let cam = pose.transform(*p);
+//!             camera.project(cam)
+//!                 .map(|uv| KeyframeObservation { landmark: i as u64, pixel: uv,
+//!                                                 position: cam })
+//!         })
+//!         .collect();
+//!     runner.on_keyframe(
+//!         &pool,
+//!         KeyframeData { frame_index: frame, timestamp: frame as f64 / 30.0,
+//!                        pose_w2c: pose, observations, descriptors: Vec::new() },
+//!         &mut |id| landmarks.get(id as usize).copied(),
+//!     );
 //! }
+//! // The refinement is collected at the next frame boundary.
+//! let outcome = runner.take_refinement().expect("one solve dispatched");
+//! assert_eq!(outcome.keyframes.len(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -99,6 +97,6 @@ pub use loop_closure::{
 };
 pub use mapper::{
     BackendConfig, BackendMode, BackendRunner, BackendStats, KeyframeCullConfig, KeyframeData,
-    LocalBaJob, LocalBaOutcome, LocalMapper, RefinedKeyframe, BACKEND_ENV,
+    LocalBaJob, LocalBaOutcome, LocalMapper, RefinedKeyframe,
 };
 pub use relocalize::{RelocalizationConfig, RelocalizationResult, Relocalizer};

@@ -5,7 +5,7 @@
 //!
 //! * `span_absent` — the disabled path (`Option::None` sink): one
 //!   branch, no clock, no allocation. This is what every instrumented
-//!   site costs when `ESLAM_TELEMETRY=off`.
+//!   site costs under `TelemetryMode::Off`.
 //! * `counter` — one relaxed `fetch_add` (counters mode's only cost).
 //! * `span_full` — a full-mode span: two `Instant::now()` reads, a
 //!   histogram record, the frame accumulator, and one trace-event push.

@@ -10,8 +10,9 @@ use eslam_core::{run_sequence, Overrides, SlamConfig, Stage};
 use eslam_dataset::sequence::SequenceSpec;
 
 fn main() {
-    // Harness binary: validate the ESLAM_* environment up front and
-    // surface library warnings on stderr as they happen.
+    // Harness binary: validate the ESLAM_* environment up front (it is
+    // applied to the config below) and surface library warnings on
+    // stderr as they happen.
     let overrides = Overrides::from_env();
     eprintln!("overrides: {}", overrides.report());
     events::mirror_to_stderr(true);
@@ -27,6 +28,7 @@ fn main() {
     let seq = spec.build();
     let mut config = SlamConfig::scaled_for_tests(1.0 / scale);
     config.telemetry = config.telemetry.with_mode(TelemetryMode::Full);
+    overrides.apply(&mut config);
     let result = run_sequence(&seq, config);
 
     let s = &result.stats;

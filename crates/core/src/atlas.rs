@@ -241,16 +241,6 @@ impl Atlas {
         let contents = persist::load_atlas(path)?;
         Ok(Atlas::new(AtlasState::from_contents(contents)))
     }
-
-    /// Loads the atlas named by `ESLAM_ATLAS`, when set. `None` when
-    /// the variable is unset or empty; errors surface as they would
-    /// from [`Atlas::load`].
-    pub fn load_from_env() -> Result<Option<Atlas>, AtlasError> {
-        match crate::overrides::atlas_path() {
-            Some(path) => Atlas::load(&path).map(Some),
-            None => Ok(None),
-        }
-    }
 }
 
 #[cfg(test)]

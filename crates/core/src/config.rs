@@ -5,9 +5,7 @@ use eslam_geometry::lm::LmParams;
 use eslam_geometry::pnp::PnpParams;
 use eslam_geometry::PinholeCamera;
 
-pub use eslam_backend::{
-    BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig, BACKEND_ENV,
-};
+pub use eslam_backend::{BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig};
 pub use eslam_telemetry::{TelemetryConfig, TelemetryMode};
 
 /// Hardware-model selection for the front-end stages.
@@ -19,14 +17,6 @@ pub enum Backend {
     /// processing also reports modelled hardware latencies.
     Accelerator,
 }
-
-/// Environment variable forcing the dataset prefetch decision: `on`,
-/// `off`, or `auto` (the default). When set to `on`/`off` it overrides
-/// [`SlamConfig::prefetch`] entirely — the CI matrix uses it, exactly
-/// like `ESLAM_MATCH_KERNEL` pins the matcher rung, to run the whole
-/// test suite under both the streamed and the synchronous dataset path.
-/// An unrecognised value panics so matrix typos fail loudly.
-pub const PREFETCH_ENV: &str = "ESLAM_PREFETCH";
 
 /// Whether [`crate::run_sequence`] streams frames through the async
 /// double-buffered prefetcher (`eslam_dataset::prefetch`) or pulls them
@@ -48,56 +38,14 @@ pub enum PrefetchMode {
 }
 
 impl PrefetchMode {
-    /// Resolves the mode to a decision, honouring [`PREFETCH_ENV`]
-    /// first (read once per process, like the matcher-kernel override).
-    ///
-    /// # Panics
-    /// Panics when [`PREFETCH_ENV`] is set to an unrecognised value.
+    /// Resolves the mode to a decision: `Auto` prefetches iff the host
+    /// exposes more than one hardware thread.
     pub fn resolved(self) -> bool {
-        static FORCED: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-        let forced = *FORCED.get_or_init(|| {
-            eslam_features::envopt::forced(PREFETCH_ENV, "auto, on or off", |value| match value {
-                "on" | "1" | "true" => Some(true),
-                "off" | "0" | "false" => Some(false),
-                _ => None,
-            })
-        });
-        match forced {
-            Some(decision) => decision,
-            None => match self {
-                PrefetchMode::On => true,
-                PrefetchMode::Off => false,
-                PrefetchMode::Auto => eslam_features::pool::available_threads() > 1,
-            },
+        match self {
+            PrefetchMode::On => true,
+            PrefetchMode::Off => false,
+            PrefetchMode::Auto => eslam_features::pool::available_threads() > 1,
         }
-    }
-}
-
-/// Environment variable forcing the telemetry mode: `off`, `counters`,
-/// `full`, or `auto` (defer to [`SlamConfig::telemetry`]). When set it
-/// overrides [`TelemetryConfig::mode`] entirely — the CI matrix uses
-/// it, exactly like [`PREFETCH_ENV`], to run the suite under every
-/// recording mode. An unrecognised value panics so matrix typos fail
-/// loudly.
-pub const TELEMETRY_ENV: &str = "ESLAM_TELEMETRY";
-
-/// Resolves the telemetry mode: [`TELEMETRY_ENV`] (read once per
-/// process) wins over the configured mode.
-///
-/// # Panics
-/// Panics when [`TELEMETRY_ENV`] is set to an unrecognised value.
-pub fn resolved_telemetry(config: TelemetryConfig) -> TelemetryConfig {
-    static FORCED: std::sync::OnceLock<Option<TelemetryMode>> = std::sync::OnceLock::new();
-    let forced = *FORCED.get_or_init(|| {
-        eslam_features::envopt::forced(
-            TELEMETRY_ENV,
-            "auto, off, counters or full",
-            TelemetryMode::parse,
-        )
-    });
-    match forced {
-        Some(mode) => config.with_mode(mode),
-        None => config,
     }
 }
 
@@ -136,8 +84,7 @@ pub struct SlamConfig {
     pub hw_model: Backend,
     /// The keyframe backend: covisibility-linked keyframes + windowed
     /// local bundle adjustment, run sync/async per
-    /// [`BackendConfig::mode`] (env-forced by [`BACKEND_ENV`], exactly
-    /// like the prefetch and matcher-kernel toggles).
+    /// [`BackendConfig::mode`].
     pub backend: BackendConfig,
     /// Use a constant-velocity motion model to seed tracking (extension):
     /// the prior pose is extrapolated from the last inter-frame motion
@@ -151,13 +98,11 @@ pub struct SlamConfig {
     /// `eslam_features::pool::resolve_thread_count` for the exact rules.
     pub worker_threads: Option<usize>,
     /// Whether [`crate::run_sequence`] overlaps frame production with
-    /// tracking via the async double-buffered prefetcher. Overridden by
-    /// the [`PREFETCH_ENV`] environment variable when set.
+    /// tracking via the async double-buffered prefetcher.
     pub prefetch: PrefetchMode,
     /// Observability configuration: what the telemetry layer records
-    /// ([`TelemetryConfig::mode`], overridden by [`TELEMETRY_ENV`]),
-    /// the per-frame budget, and the flight-recorder / trace-buffer
-    /// sizes. Telemetry observes only — trajectories and stats are
+    /// ([`TelemetryConfig::mode`]), the per-frame budget, and the
+    /// flight-recorder / trace-buffer sizes. Telemetry observes only — trajectories and stats are
     /// bit-identical under every mode.
     pub telemetry: TelemetryConfig,
 }
@@ -248,68 +193,53 @@ mod tests {
 
     #[test]
     fn prefetch_resolution_honours_explicit_modes() {
-        // The env override is process-wide (OnceLock), so this test can
-        // only assert the invariants that hold under every setting:
-        // with ESLAM_PREFETCH unset/auto, On/Off are honoured exactly;
-        // with a forced value, all three modes resolve identically.
-        let on = PrefetchMode::On.resolved();
-        let off = PrefetchMode::Off.resolved();
-        let auto = PrefetchMode::Auto.resolved();
-        let forced = std::env::var(PREFETCH_ENV)
-            .ok()
-            .map(|v| v.trim().to_ascii_lowercase())
-            .filter(|v| !v.is_empty() && v != "auto");
-        match forced {
-            Some(_) => {
-                assert_eq!(on, off, "a forced {PREFETCH_ENV} overrides the config");
-                assert_eq!(on, auto);
-            }
-            None => {
-                assert!(on);
-                assert!(!off);
-                let cores = eslam_features::pool::available_threads();
-                assert_eq!(auto, cores > 1);
-            }
-        }
+        assert!(PrefetchMode::On.resolved());
+        assert!(!PrefetchMode::Off.resolved());
+        let cores = eslam_features::pool::available_threads();
+        assert_eq!(PrefetchMode::Auto.resolved(), cores > 1);
     }
 
     #[test]
     fn telemetry_resolution_honours_config_and_env() {
-        // Same process-wide OnceLock caveat as the prefetch test: with
-        // ESLAM_TELEMETRY unset/auto the configured mode passes through
-        // untouched; with a forced value every configured mode resolves
-        // to the forced one. Non-mode fields always pass through.
-        let config = TelemetryConfig {
+        // The configured mode and the non-mode fields reach the
+        // session's sink as given; `Off` means no sink at all. An
+        // `ESLAM_TELEMETRY` override reaches it only through
+        // `Overrides::apply` (driven here by a fake environment).
+        let telemetry = TelemetryConfig {
             frame_budget_ms: 33.0,
             flight_frames: 7,
             ..TelemetryConfig::default()
         };
-        let off = resolved_telemetry(config.with_mode(TelemetryMode::Off));
-        let counters = resolved_telemetry(config.with_mode(TelemetryMode::Counters));
-        let full = resolved_telemetry(config.with_mode(TelemetryMode::Full));
-        for resolved in [&off, &counters, &full] {
-            assert_eq!(resolved.frame_budget_ms, 33.0);
-            assert_eq!(resolved.flight_frames, 7);
-        }
-        let forced = std::env::var(TELEMETRY_ENV)
-            .ok()
-            .map(|v| v.trim().to_ascii_lowercase())
-            .filter(|v| !v.is_empty() && v != "auto");
-        match forced {
-            Some(value) => {
-                let mode = TelemetryMode::parse(&value).expect("forced mode parses");
-                assert_eq!(
-                    off.mode, mode,
-                    "a forced {TELEMETRY_ENV} overrides the config"
-                );
-                assert_eq!(counters.mode, mode);
-                assert_eq!(full.mode, mode);
-            }
-            None => {
-                assert_eq!(off.mode, TelemetryMode::Off);
-                assert_eq!(counters.mode, TelemetryMode::Counters);
-                assert_eq!(full.mode, TelemetryMode::Full);
+        for mode in [
+            TelemetryMode::Off,
+            TelemetryMode::Counters,
+            TelemetryMode::Full,
+        ] {
+            let config = SlamConfig {
+                telemetry: telemetry.with_mode(mode),
+                ..SlamConfig::scaled_for_tests(4.0)
+            };
+            let slam = crate::Slam::builder().config(config).build();
+            match slam.telemetry() {
+                None => assert_eq!(mode, TelemetryMode::Off),
+                Some(sink) => {
+                    assert_eq!(sink.mode(), mode);
+                    assert_eq!(sink.config().frame_budget_ms, 33.0);
+                    assert_eq!(sink.config().flight_frames, 7);
+                }
             }
         }
+        let mut config = SlamConfig {
+            telemetry: telemetry.with_mode(TelemetryMode::Off),
+            ..SlamConfig::scaled_for_tests(4.0)
+        };
+        crate::Overrides::from_lookup(|var| {
+            (var == crate::overrides::TELEMETRY_ENV).then(|| "full".to_string())
+        })
+        .apply(&mut config);
+        let slam = crate::Slam::builder().config(config).build();
+        let sink = slam.telemetry().expect("the override turns telemetry on");
+        assert_eq!(sink.mode(), TelemetryMode::Full);
+        assert_eq!(sink.config().frame_budget_ms, 33.0);
     }
 }

@@ -39,29 +39,13 @@
 //!
 //! # Environment overrides
 //!
-//! All process-wide toggles live behind the one typed surface of
-//! [`overrides`] ([`overrides::Overrides::from_env`] parses and
-//! validates the whole set in one shot):
-//!
-//! * `ESLAM_MATCH_KERNEL` (`auto`/`scalar`/`popcnt`/`avx2`/`avx512`) —
-//!   pins the Hamming-matcher kernel rung
-//!   (`eslam_features::matcher::active_kernel`);
-//! * `ESLAM_PREFETCH` (`auto`/`on`/`off`) — forces the dataset
-//!   prefetch decision over the configured [`config::PrefetchMode`]
-//!   ([`config::PREFETCH_ENV`]). CI runs the suite under both forced
-//!   values;
-//! * `ESLAM_BACKEND` (`auto`/`off`/`sync`/`async`) — forces the
-//!   keyframe-backend execution mode over the configured
-//!   [`config::BackendConfig::mode`] ([`config::BACKEND_ENV`]). CI
-//!   runs the suite under both `sync` and `async`;
-//! * `ESLAM_TELEMETRY` (`auto`/`off`/`counters`/`full`) — forces the
-//!   telemetry recording mode over the configured
-//!   [`config::SlamConfig::telemetry`] ([`config::TELEMETRY_ENV`]).
-//!   Telemetry observes only: trajectories are bit-identical under
-//!   every mode (`tests/telemetry.rs`);
-//! * `ESLAM_ATLAS` (a filesystem path) — names an atlas file for
-//!   sessions to load at start ([`overrides::ATLAS_ENV`],
-//!   [`atlas::Atlas::load_from_env`]).
+//! The libraries read no environment: every mode comes from
+//! [`SlamConfig`]. Harness binaries honour the `ESLAM_*` toggles by
+//! calling `Overrides::from_env().apply(&mut config)` after building
+//! their configuration ([`overrides`] lists the variables and their
+//! values). `ESLAM_MATCH_KERNEL` alone reaches the library directly: it
+//! pins the Hamming-matcher SIMD rung below every API
+//! (`eslam_features::matcher::active_kernel`).
 //!
 //! # Examples
 //!
@@ -144,10 +128,10 @@ pub use eslam_telemetry as telemetry;
 pub use atlas::{Atlas, AtlasState};
 pub use config::{
     Backend, BackendConfig, BackendMode, KeyframeCullConfig, LoopClosureConfig, PrefetchMode,
-    SlamConfig, TelemetryConfig, TelemetryMode, BACKEND_ENV, PREFETCH_ENV, TELEMETRY_ENV,
+    SlamConfig, TelemetryConfig, TelemetryMode,
 };
 pub use map::{Map, MapPoint, PointObservation};
-pub use overrides::{Overrides, ATLAS_ENV};
+pub use overrides::Overrides;
 pub use persist::{AtlasContents, AtlasError};
 pub use pipeline::{sequence_timing, PlatformSequenceTiming, SequenceWallTiming};
 pub use runner::{run_sequence, RunResult, Stage};

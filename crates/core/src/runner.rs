@@ -4,7 +4,7 @@
 //!
 //! The runner is where the paper's stage-overlap idea reaches the
 //! dataset layer: with [`SlamConfig::prefetch`] resolved on (see
-//! [`crate::config::PrefetchMode`] and the `ESLAM_PREFETCH` override),
+//! [`crate::config::PrefetchMode`]),
 //! frame `k + 1` renders on a background worker of the shared
 //! [`WorkerPool`] while frame `k` is being tracked, and the per-frame
 //! reports record the *measured* wait-versus-track split so the overlap
@@ -66,7 +66,7 @@ pub struct RunResult {
     pub prefetched: bool,
     /// Telemetry rollup of the run — per-stage p50/p95/p99/max
     /// latencies (full mode) and every pipeline counter. `None` when
-    /// the resolved telemetry mode is off.
+    /// the configured telemetry mode is off.
     pub telemetry: Option<TelemetrySummary>,
 }
 
@@ -131,8 +131,7 @@ impl RunResult {
 /// Accepts any [`FrameSource`] — synthetic sequences, disk datasets,
 /// noise-augmented wrappers. Frames are either pulled synchronously or
 /// streamed through the double-buffered async prefetcher, per
-/// `config.prefetch` (forceable with the `ESLAM_PREFETCH` environment
-/// variable); the two paths are bit-identical. Either way a recycled
+/// `config.prefetch`; the two paths are bit-identical. Either way a recycled
 /// [`Frame`] buffer pair keeps the steady-state dataset layer
 /// allocation-free, and each report's
 /// [`frame_wait_ms`](FrameReport::frame_wait_ms) records how long the
@@ -273,11 +272,8 @@ mod tests {
     #[test]
     fn both_prefetch_settings_produce_identical_results() {
         // The cheap in-process half of the equivalence story (the full
-        // oracle lives in tests/prefetch_equivalence.rs): forced-on and
-        // forced-off runs agree exactly. When ESLAM_PREFETCH is set it
-        // overrides both configs, making this comparison trivial — the
-        // integration tier covers that case by driving the paths
-        // directly.
+        // oracle lives in tests/prefetch_equivalence.rs): prefetched and
+        // synchronous runs agree exactly.
         let seq = SequenceSpec::paper_sequences(4, 0.25)[2].build();
         let mut on = SlamConfig::scaled_for_tests(4.0);
         on.prefetch = PrefetchMode::On;
@@ -285,6 +281,7 @@ mod tests {
         off.prefetch = PrefetchMode::Off;
         let a = run_sequence(&seq, on);
         let b = run_sequence(&seq, off);
+        assert!(a.prefetched && !b.prefetched);
         assert_eq!(a.reports.len(), b.reports.len());
         for (ra, rb) in a.reports.iter().zip(&b.reports) {
             assert_eq!(ra.pose_c2w, rb.pose_c2w, "frame {}", ra.index);

@@ -18,7 +18,7 @@
 //! point that makes the async mode bit-identical to the sync one.
 
 use crate::atlas::{Atlas, AtlasState};
-use crate::config::{resolved_telemetry, Backend, SlamConfig};
+use crate::config::{Backend, SlamConfig};
 use crate::map::Map;
 use crate::tracking::track_frame_with_telemetry;
 use eslam_backend::keyframe::KeyframeObservation;
@@ -126,7 +126,7 @@ pub struct Slam {
     last_keyframe_c2w: Se3,
     keyframes: usize,
     /// The keyframe backend (covisibility graph + windowed local BA);
-    /// `None` when the resolved mode is off.
+    /// `None` when [`crate::config::BackendConfig::mode`] is off.
     backend: Option<BackendRunner>,
     /// Publish target for the finished map: [`Slam::finish`] builds a
     /// query-ready [`AtlasState`] and publishes it here. `None` when
@@ -134,7 +134,7 @@ pub struct Slam {
     atlas: Option<Arc<Atlas>>,
     /// Telemetry sink shared with the extraction scratch, the backend
     /// runner and (via [`crate::run_sequence`]) the prefetcher. `None`
-    /// when the resolved mode is off — the absence of the sink *is* the
+    /// when the configured mode is off — the absence of the sink *is* the
     /// zero-cost off implementation.
     telemetry: Option<Arc<Telemetry>>,
 }
@@ -201,7 +201,7 @@ impl SlamBuilder {
         if self.worker_pool.is_some() {
             config.worker_threads = self.worker_pool;
         }
-        let telemetry = Telemetry::new(resolved_telemetry(config.telemetry));
+        let telemetry = Telemetry::new(config.telemetry);
         let mut extractor_scratch = OrbScratch::with_threads(config.worker_threads);
         extractor_scratch.set_telemetry(telemetry.clone());
         let mut backend = BackendRunner::new(config.backend, config.camera);
@@ -315,7 +315,7 @@ impl Slam {
         }
     }
 
-    /// The telemetry sink of this run, when the resolved mode is not
+    /// The telemetry sink of this run, when the configured mode is not
     /// off. Exposes histograms, counters, the flight recorder and the
     /// exporters (`summary()`, `prometheus()`, `chrome_trace()`).
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {

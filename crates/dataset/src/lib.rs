@@ -24,8 +24,8 @@
 //! * [`prefetch`] — double-buffered async prefetch: frame `k + 1`
 //!   renders on a background worker of the persistent
 //!   `eslam_features::pool::WorkerPool` while the pipeline consumes
-//!   frame `k`, bit-identical to synchronous rendering (forceable at
-//!   the SLAM layer via the `ESLAM_PREFETCH` environment variable).
+//!   frame `k`, bit-identical to synchronous rendering (selected at
+//!   the SLAM layer by `SlamConfig::prefetch`).
 //!
 //! # Examples
 //!

@@ -21,7 +21,7 @@
 //!   extraction path: every pyramid level streams as row bands through
 //!   ring line buffers, the software mirror of the accelerator's
 //!   dataflow, and describes only the frame's top-N features (band
-//!   count via `ESLAM_BANDS` / [`BandMode`]).
+//!   count via [`BandMode`]).
 //!
 //! # Examples
 //!

@@ -34,6 +34,8 @@
 //!
 //! The `ESLAM_MATCH_KERNEL` environment variable ([`MATCH_KERNEL_ENV`])
 //! forces a rung for CI's per-kernel test matrix; see [`active_kernel`].
+//! It is the one override the library reads itself: the rung sits below
+//! every API, so no configuration struct carries it.
 //! The straightforward scalar loops are retained as
 //! [`match_brute_force_reference`] / [`match_with_ratio_reference`]; all
 //! kernels are bit-identical to them (proven by unit and property tests).
@@ -130,7 +132,8 @@ impl MatchKernel {
         }
     }
 
-    /// Parses a kernel name (`"scalar"`, `"popcnt"`, `"avx2"`).
+    /// Parses a kernel name (`"scalar"`, `"popcnt"`, `"avx2"`,
+    /// `"avx512"`).
     pub fn from_name(name: &str) -> Option<MatchKernel> {
         match name {
             "scalar" => Some(MatchKernel::Scalar),
@@ -140,6 +143,21 @@ impl MatchKernel {
             _ => None,
         }
     }
+}
+
+/// Parses a raw [`MATCH_KERNEL_ENV`] value (`None` when unset) under the
+/// [`crate::envopt::forced`] contract: the one parser of the kernel
+/// override, shared by [`active_kernel`] and `eslam_core::Overrides`.
+///
+/// # Panics
+/// Panics when `raw` names no kernel and is not `auto` or empty.
+pub fn forced_kernel(raw: Option<&str>) -> Option<MatchKernel> {
+    crate::envopt::forced(
+        MATCH_KERNEL_ENV,
+        raw,
+        "auto, scalar, popcnt, avx2 or avx512",
+        MatchKernel::from_name,
+    )
 }
 
 /// The kernel the production entry points dispatch to, resolved once:
@@ -152,11 +170,7 @@ impl MatchKernel {
 pub fn active_kernel() -> MatchKernel {
     static ACTIVE: OnceLock<MatchKernel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let forced = crate::envopt::forced(
-            MATCH_KERNEL_ENV,
-            "auto, scalar, popcnt, avx2 or avx512",
-            MatchKernel::from_name,
-        );
+        let forced = forced_kernel(std::env::var(MATCH_KERNEL_ENV).ok().as_deref());
         match forced {
             None => MatchKernel::detect(),
             Some(kernel) if kernel.is_supported() => kernel,

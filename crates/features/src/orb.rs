@@ -92,7 +92,7 @@ pub struct OrbConfig {
     /// this many independently streamed horizontal bands (clamped per
     /// level to the usable interior rows), scheduled depth-first across
     /// levels on the worker pool. `Auto` matches the pool's thread
-    /// count; overridable per process via `ESLAM_BANDS`.
+    /// count.
     pub bands: BandMode,
 }
 
@@ -374,8 +374,8 @@ impl OrbExtractor {
     /// Extracts features using caller-owned scratch buffers.
     ///
     /// Every pyramid level splits into horizontal row bands
-    /// ([`stream::band_partition`]; band count from [`OrbConfig::bands`]
-    /// / `ESLAM_BANDS`, one band per pool thread under `Auto`), each band
+    /// ([`stream::band_partition`]; band count from [`OrbConfig::bands`],
+    /// one band per pool thread under `Auto`), each band
     /// streams through its own line buffers ([`crate::stream`]), and the
     /// `(level, band)` tasks run on one depth-first schedule
     /// ([`stream::depth_first_schedule`]) on the worker pool — inline on

@@ -118,11 +118,10 @@
 //! describe phase skips bands without winners. A single band per level
 //! is the same code with one task per level. Band count comes from
 //! [`BandMode`] in [`OrbConfig`](crate::orb::OrbConfig) (`Auto` = pool
-//! threads), overridable per process via [`BANDS_ENV`].
+//! threads).
 
 use crate::brief::{compute_descriptor_ring, PatternOffsets};
 use crate::descriptor::Descriptor;
-use crate::envopt;
 use crate::fast::{self, FastDetection};
 use crate::harris::{self, RowHarris};
 use crate::nms::ScoredPoint;
@@ -131,13 +130,6 @@ use crate::orientation::patch_moments_ring;
 use eslam_image::filter::{blur_hrow_7x7_into, blur_vrow_7x7_into};
 use eslam_image::GrayImage;
 use std::ops::Range;
-use std::sync::OnceLock;
-
-/// Environment override forcing the per-level row-band count of the
-/// streaming pass; `auto` (or unset/empty) defers to [`BandMode`] in
-/// the config, a positive integer forces that many bands (see
-/// `eslam_core::overrides`).
-pub const BANDS_ENV: &str = "ESLAM_BANDS";
 
 /// Columns of halo the 7-tap blur needs on each side (also its row halo
 /// in the vertical pass).
@@ -182,8 +174,7 @@ pub const STREAM_LATENCY_ROWS: u32 = {
 };
 
 /// Row-band count selector for the streaming pass, carried in
-/// [`OrbConfig`](crate::orb::OrbConfig) and overridable per process via
-/// [`BANDS_ENV`].
+/// [`OrbConfig`](crate::orb::OrbConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BandMode {
     /// One band per worker-pool thread — a single-core host resolves to
@@ -196,8 +187,9 @@ pub enum BandMode {
 }
 
 impl BandMode {
-    /// Parses a lowercased override value: `auto`, or a positive band
-    /// count; `None` for anything else (including `0`).
+    /// Parses a lowercased value: `auto`, or a positive band count;
+    /// `None` for anything else (including `0`). The one parser of the
+    /// band-count spellings, shared with `eslam_core::overrides`.
     pub fn parse(value: &str) -> Option<BandMode> {
         if value == "auto" {
             return Some(BandMode::Auto);
@@ -219,28 +211,12 @@ impl std::fmt::Display for BandMode {
     }
 }
 
-/// The process-wide forced band count, read once. Typos (anything that
-/// is not `auto` or a positive integer) hard-error via
-/// [`envopt::forced`]; `auto` (or unset/empty) forces nothing.
-pub(crate) fn forced_bands() -> Option<usize> {
-    static FORCED: OnceLock<Option<usize>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        envopt::forced(BANDS_ENV, "auto or a positive band count", |v| {
-            v.parse::<usize>().ok().filter(|n| *n >= 1)
-        })
-    })
-}
-
-/// Resolves the requested band count: the forced env value wins over
-/// the configured mode; `Auto` matches the pool's thread count, so the
-/// split engages exactly where workers exist to absorb it.
+/// Resolves the requested band count: `Auto` matches the pool's thread
+/// count, so the split engages exactly where workers exist to absorb it.
 pub(crate) fn resolve_bands(config: BandMode, pool_threads: usize) -> usize {
-    match forced_bands() {
-        Some(n) => n,
-        None => match config {
-            BandMode::Auto => pool_threads.max(1),
-            BandMode::Fixed(n) => n.max(1),
-        },
+    match config {
+        BandMode::Auto => pool_threads.max(1),
+        BandMode::Fixed(n) => n.max(1),
     }
 }
 
@@ -710,8 +686,8 @@ mod tests {
         for mode in [BandMode::Auto, BandMode::Fixed(1), BandMode::Fixed(8)] {
             assert_eq!(BandMode::parse(&mode.to_string()), Some(mode));
         }
-        // `0` bands is a typo, not a request: it must hard-error at the
-        // envopt layer rather than silently mean anything.
+        // `0` bands is a typo, not a request: it must be rejected
+        // rather than silently mean anything.
         assert_eq!(BandMode::parse("0"), None);
         assert_eq!(BandMode::parse("two"), None);
         assert_eq!(BandMode::parse(""), None);
@@ -720,8 +696,6 @@ mod tests {
 
     #[test]
     fn band_count_resolution_prefers_config_then_pool() {
-        // (No env override in-process: forced_bands is exercised by the
-        // subprocess probes in eslam_core::overrides.)
         assert_eq!(resolve_bands(BandMode::Fixed(4), 1), 4);
         assert_eq!(resolve_bands(BandMode::Fixed(0), 8), 1);
         assert_eq!(resolve_bands(BandMode::Auto, 1), 1);

@@ -81,9 +81,9 @@ pub enum TelemetryMode {
 }
 
 impl TelemetryMode {
-    /// Parses the keyword spellings used by the `ESLAM_TELEMETRY`
-    /// environment toggle (`off`, `counters`, `full`; the caller maps
-    /// unset/`auto` to "no override" first).
+    /// Parses the keyword spellings of the `ESLAM_TELEMETRY` override
+    /// in `eslam_core::overrides`: `off`, `counters`, `full` (the
+    /// caller maps unset/`auto` to "no override" first).
     pub fn parse(value: &str) -> Option<TelemetryMode> {
         match value {
             "off" => Some(TelemetryMode::Off),

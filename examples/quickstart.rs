@@ -6,7 +6,7 @@
 //! cargo run --release -p eslam-core --example quickstart
 //! ```
 
-use eslam_core::{Slam, SlamConfig};
+use eslam_core::{Overrides, Slam, SlamConfig};
 use eslam_dataset::absolute_trajectory_error;
 use eslam_dataset::sequence::SequenceSpec;
 use eslam_dataset::Trajectory;
@@ -24,12 +24,14 @@ fn main() {
         sequence.camera.height
     );
 
-    let config = SlamConfig::scaled_for_tests(1.0 / image_scale);
+    // `ESLAM_*` variables (bands, backend, telemetry) apply on top.
+    let mut config = SlamConfig::scaled_for_tests(1.0 / image_scale);
+    Overrides::from_env().apply(&mut config);
     let mut slam = Slam::builder().config(config).build();
 
     // Stream through one recycled frame buffer: after the first frame
     // the dataset layer allocates nothing (`run_sequence` does the same
-    // internally, plus optional async prefetch — see ESLAM_PREFETCH).
+    // internally, plus async prefetch per `SlamConfig::prefetch`).
     let mut frame = eslam_dataset::Frame::buffer();
     let mut wait_ms = 0.0;
     let mut track_ms = 0.0;

@@ -8,7 +8,7 @@
 //!
 //! Outputs land in `target/eslam-out/`.
 
-use eslam_core::{run_sequence, SlamConfig, Stage};
+use eslam_core::{run_sequence, Overrides, SlamConfig, Stage};
 use eslam_dataset::sequence::SequenceSpec;
 use eslam_image::draw::plot_polyline;
 use eslam_image::RgbImage;
@@ -26,10 +26,13 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // One call runs the whole `FrameSource`: frames stream through a
     // recycled buffer pair (async-prefetched when the host has the
-    // cores for it — force with ESLAM_PREFETCH=on|off), ground truth is
+    // cores for it — force with ESLAM_PREFETCH=on|off, which
+    // `Overrides::apply` writes into the config), ground truth is
     // rebased to the first camera frame, and the wall-clock wait/track
     // split comes back measured.
-    let result = run_sequence(&sequence, SlamConfig::scaled_for_tests(1.0 / image_scale));
+    let mut config = SlamConfig::scaled_for_tests(1.0 / image_scale);
+    Overrides::from_env().apply(&mut config);
+    let result = run_sequence(&sequence, config);
     let truth = &result.ground_truth;
 
     // TUM-format dumps.

@@ -16,10 +16,6 @@
 //! 3. **shared serving** — at least 4 concurrent sessions localize
 //!    against one [`Atlas`] while the writer keeps publishing: nobody
 //!    blocks anybody, every session converges on the same pose.
-//!
-//! Like the loop tier, the mapping runs skip under `ESLAM_BACKEND=off`
-//! (no keyframes → nothing to relocalize against); the format property
-//! tests always run.
 
 use std::sync::Arc;
 
@@ -46,12 +42,6 @@ const LOOP_FRAMES: usize = 48;
 /// the same well-anchored landmarks.
 fn config() -> SlamConfig {
     SlamConfig::scaled_for_tests(1.0 / IMAGE_SCALE)
-}
-
-/// Whether `ESLAM_BACKEND=off` forces the keyframe backend off (the
-/// mapping-side assertions are then vacuous: no store, no vocabulary).
-fn backend_forced_off() -> bool {
-    BackendMode::Sync.resolved() == BackendMode::Off
 }
 
 // ------------------------------------------------------- random worlds
@@ -252,10 +242,6 @@ fn semantic_validators_back_the_decoder() {
 
 #[test]
 fn circle_map_reloads_bit_identically_and_relocalizes_a_cold_session() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping atlas mapping assertions");
-        return;
-    }
     let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
     assert_eq!(spec.name, "loop/circle");
     let seq = spec.build();
@@ -334,10 +320,6 @@ fn circle_map_reloads_bit_identically_and_relocalizes_a_cold_session() {
 
 #[test]
 fn concurrent_sessions_share_one_atlas_without_starving_the_writer() {
-    if backend_forced_off() {
-        eprintln!("ESLAM_BACKEND=off; skipping atlas mapping assertions");
-        return;
-    }
     let spec = &SequenceSpec::loop_sequences(LOOP_FRAMES, IMAGE_SCALE)[0];
     let seq = spec.build();
 

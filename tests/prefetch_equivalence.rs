@@ -4,9 +4,7 @@
 //! must be **bit-identical** to the synchronous pull-on-demand path —
 //! frame pixels, estimated trajectories, and per-frame feature counts —
 //! for every paper sequence, every `FrameSource` kind, and every pool
-//! shape, no matter what `ESLAM_PREFETCH` is set to in the environment
-//! (the paths are driven directly here, so the CI matrix exercises the
-//! same assertions under both forced settings).
+//! shape.
 
 use eslam_core::{run_sequence, PrefetchMode, Slam, SlamConfig};
 use eslam_dataset::noise::NoiseModel;
@@ -71,7 +69,7 @@ fn prefetched_pixels_bit_identical_for_all_paper_sequences() {
 #[test]
 fn prefetched_run_matches_synchronous_run_exactly() {
     // The full-pipeline oracle: a manual Slam loop over owned frames
-    // (never prefetches, whatever ESLAM_PREFETCH says) versus
+    // (never prefetches) versus
     // run_sequence with the prefetcher forced on via config, for every
     // paper sequence. Trajectories, tracking decisions and feature
     // counts must agree exactly.

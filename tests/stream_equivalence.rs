@@ -238,10 +238,9 @@ fn streaming_bit_identical_across_worker_pool_shapes() {
 
 #[test]
 fn band_parallel_bit_identical_across_paper_and_loop_sequences() {
-    // Splitting each level into row bands — the `ESLAM_BANDS=1|2|4`
-    // axis the CI matrix forces — must be invisible in the output on
-    // every paper sequence AND the loop-closure sequences, against the
-    // scalar reference.
+    // Splitting each level into row bands (1, 2 and 4 per level) must
+    // be invisible in the output on every paper sequence AND the
+    // loop-closure sequences, against the scalar reference.
     let sequences: Vec<SyntheticSequence> = SequenceSpec::paper_sequences(2, IMAGE_SCALE)
         .iter()
         .chain(SequenceSpec::loop_sequences(2, IMAGE_SCALE).iter())
